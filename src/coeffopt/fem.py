@@ -5,6 +5,17 @@ piecewise-constant (one value per cell).  Scalar coefficients are
 assembled through the same isotropic-tensor path as matrix coefficients,
 so the two agree bit for bit when the matrix is a*I.
 
+Solver
+------
+Every state solve goes through ``solve_dirichlet``: the Dirichlet rows
+and columns are eliminated and the free-dof system is solved by
+conjugate gradients preconditioned with a smoothed-aggregation
+multigrid V-cycle (Vanek, Mandel and Brezina, 1996), so the iteration
+count stays flat as the mesh is refined.  A ``StiffnessAssembler`` is
+the per-mesh solver state: it keeps the free-dof pattern, the gather
+that fills it and the aggregation hierarchy, so repeated solves on one
+mesh only rebuild the Galerkin coarse operators.
+
 Field conventions
 -----------------
 nodal field        (n_vertices,) float array
@@ -29,6 +40,7 @@ __all__ = [
     "IllPosedCoefficientError",
     "SolverFailure",
     "StiffnessAssembler",
+    "DirichletSolver",
     "assemble_stiffness",
     "assemble_load",
     "assemble_point_load",
@@ -90,54 +102,77 @@ def _as_tensor_columns(mesh: Mesh, coeff: np.ndarray) -> np.ndarray:
     )
 
 
-class StiffnessAssembler:
-    """Reusable stiffness assembler for one mesh.
+# local (i, j) pairs of a cell's 3x3 matrix: the six upper entries, then
+# the three mirrored ones, which reuse the upper values
+_LOCAL_I = np.array([0, 1, 2, 0, 0, 1, 1, 2, 2])
+_LOCAL_J = np.array([0, 1, 2, 1, 2, 2, 0, 0, 1])
 
-    The sparsity pattern, the duplicate-summation order and the CSR
-    index arrays depend only on the mesh, so they are computed once.
-    Repeated assemblies (every optimizer iteration) then reduce to one
-    einsum and one segmented sum, both deterministic.
+
+class StiffnessAssembler:
+    """Per-mesh assembly and Dirichlet-solver state.
+
+    The sparsity pattern, the slot of every local entry in it, the
+    free-dof pattern and the gather that fills it depend only on the
+    mesh, so they are computed once.  Repeated assemblies (every
+    optimizer iteration) reduce to the six upper local entries per cell
+    and one deterministic scatter; each entry lands in both of its
+    slots, so the matrix is symmetric bit for bit.  The multigrid
+    hierarchy of ``solve_dirichlet`` is built on the first solve of a
+    matrix from this assembler and reused by every later one.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
+        nv = mesh.n_vertices
         tri = mesh.triangles
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        order = np.lexsort((cols, rows))  # stable: ties keep cell order
-        rs, cs = rows[order], cols[order]
-        first = np.empty(rs.size, dtype=bool)
+        # slot of every local entry: its rank among the distinct
+        # (row, col) keys, which sort in CSR order
+        keys = tri[:, _LOCAL_I] * nv
+        keys += tri[:, _LOCAL_J]
+        keys = keys.ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
         first[0] = True
-        first[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-        starts = np.flatnonzero(first)
-        counts = np.bincount(rs[starts], minlength=mesh.n_vertices)
-        self._order = order
-        self._starts = starts
-        self._indices = cs[starts].astype(np.int32)
-        self._indptr = np.concatenate(
-            [[0], np.cumsum(counts)]
-        ).astype(np.int32)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        pattern = keys[first]
+        del keys
+        self._slots = np.empty(order.size, dtype=np.int32)
+        self._slots[order] = np.cumsum(first, dtype=np.int32) - 1
+        del order, first
+        counts = np.bincount(pattern // nv, minlength=nv)
+        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self._indices = (pattern % nv).astype(np.int32)
+        self.solver = DirichletSolver(self._indptr, self._indices, mesh.boundary)
 
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
+        """Stiffness matrix on the full vertex set.
+
+        The matrix carries this assembler's solver as its
+        ``dirichlet_solver`` attribute, which ``solve_dirichlet`` reuses.
+        """
         mesh = self.mesh
         cols = _as_tensor_columns(mesh, coeff)
         g = mesh.cell_basis_gradients
         a11, a12, a22 = cols[:, 0], cols[:, 1], cols[:, 2]
-        ag = np.empty_like(g)
-        ag[:, :, 0] = a11[:, None] * g[:, :, 0] + a12[:, None] * g[:, :, 1]
-        ag[:, :, 1] = a12[:, None] * g[:, :, 0] + a22[:, None] * g[:, :, 1]
-        loc = np.einsum("cid,cjd->cij", ag, g)
-        loc *= mesh.cell_areas[:, None, None]
-        # mirror the upper triangle so the matrix is symmetric bit for bit
-        loc[:, 1, 0] = loc[:, 0, 1]
-        loc[:, 2, 0] = loc[:, 0, 2]
-        loc[:, 2, 1] = loc[:, 1, 2]
-        data = loc.reshape(-1)[self._order]
-        vals = np.add.reduceat(data, self._starts)
+        loc = np.empty((mesh.n_cells, 9))
+        for k, (i, j) in enumerate(zip(_LOCAL_I[:6], _LOCAL_J[:6])):
+            gi, gj = g[:, i], g[:, j]
+            loc[:, k] = ((a11 * gi[:, 0] + a12 * gi[:, 1]) * gj[:, 0]
+                         + (a12 * gi[:, 0] + a22 * gi[:, 1]) * gj[:, 1])
+        loc[:, :6] *= mesh.cell_areas[:, None]
+        loc[:, 6:] = loc[:, 3:6]
+        # cell-major order: both slots of an entry sum the same values in
+        # the same order
+        vals = np.bincount(self._slots, weights=loc.ravel(),
+                           minlength=self._indices.size)
+        del loc
         nv = mesh.n_vertices
-        return sp.csr_matrix(
+        K = sp.csr_matrix(
             (vals, self._indices.copy(), self._indptr.copy()), shape=(nv, nv)
         )
+        K.dirichlet_solver = self.solver
+        return K
 
 
 def assemble_stiffness(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
@@ -149,7 +184,9 @@ def assemble_point_load(mesh: Mesh, location, magnitude: float = 1.0):
     """Unit-style point load snapped to the nearest vertex.
 
     The location must lie inside the triangulated domain; ties in the
-    nearest-vertex search resolve to the lowest vertex index.
+    nearest-vertex search resolve to the lowest vertex index.  A load
+    that snaps to a Dirichlet vertex is rejected, since the elimination
+    of the boundary values would drop it.
     """
     loc = np.asarray(location, dtype=float)
     if loc.shape != (2,):
@@ -168,6 +205,11 @@ def assemble_point_load(mesh: Mesh, location, magnitude: float = 1.0):
         raise ValueError(f"point load location {tuple(loc)} is outside the mesh")
     d2v = ((mesh.vertices - loc) ** 2).sum(axis=1)
     idx = int(np.argmin(d2v))  # first minimum = lowest index
+    if mesh.boundary[idx]:
+        raise ValueError(
+            f"point load location {tuple(loc)} snaps to boundary vertex "
+            f"{idx}, where the Dirichlet condition removes it"
+        )
     b = np.zeros(mesh.n_vertices)
     b[idx] = magnitude
     return b
@@ -211,40 +253,234 @@ class LinearSystem:
             raise ValueError("load vector has nonfinite entries")
 
 
+# smoothed aggregation: strength-of-connection threshold and the size
+# at which coarsening stops and the level is factored densely
+_STRENGTH = 0.08
+_MAX_COARSE = 300
+
+
+class DirichletSolver:
+    """Free-dof system and multigrid preconditioner for one pattern.
+
+    Built from the CSR pattern of the full matrix and the Dirichlet
+    mask, it holds the pattern of the reduced (free-dof) matrix and the
+    gather that fills it from the full matrix's data.  The aggregation
+    hierarchy is built from the first reduced matrix it sees and kept;
+    each later matrix only recomputes the Galerkin coarse operators.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 boundary: np.ndarray):
+        self._full = (indptr, indices)
+        self.boundary = boundary
+        free = ~boundary
+        self.free = np.flatnonzero(free)
+        rows = np.repeat(np.arange(boundary.size, dtype=np.int32),
+                         np.diff(indptr))
+        keep = free[rows] & free[indices]
+        renum = (np.cumsum(free) - 1).astype(np.int32)
+        self._gather = np.flatnonzero(keep).astype(np.int32)
+        self._indices = renum[indices[keep]]
+        counts = np.bincount(renum[rows[keep]], minlength=self.free.size)
+        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        # every reduced matrix shares this pattern
+        self._indices.setflags(write=False)
+        self._indptr.setflags(write=False)
+        self._transfers = None  # (P, R) per level, from the first solve
+
+    def matches(self, matrix: sp.csr_matrix, boundary: np.ndarray) -> bool:
+        """Whether the matrix has this pattern and mask."""
+        indptr, indices = self._full
+        return (np.array_equal(matrix.indptr, indptr)
+                and np.array_equal(matrix.indices, indices)
+                and np.array_equal(boundary, self.boundary))
+
+    def reduce(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
+        """The free-dof block of a matrix with this solver's pattern."""
+        n = self.free.size
+        return sp.csr_matrix(
+            (matrix.data[self._gather], self._indices, self._indptr),
+            shape=(n, n),
+        )
+
+    def preconditioner(self, A: sp.csr_matrix) -> LinearOperator:
+        """Symmetric V-cycle for the reduced matrix A, as an SPD operator."""
+        if self._transfers is None:
+            self._transfers = _aggregation_hierarchy(A)
+        levels = [A]
+        for P, R in self._transfers:
+            levels.append(_galerkin(levels[-1], P, R))
+        weights = [_jacobi_weights(Al) for Al in levels[:-1]]
+        try:
+            L = np.linalg.cholesky(levels[-1].toarray())
+        except np.linalg.LinAlgError:
+            raise SolverFailure(
+                "coarsest multigrid operator is not positive definite"
+            ) from None
+        # the coarsest inverse from its Cholesky factor; L^-T L^-1 is
+        # formed as one symmetric product
+        Linv = np.linalg.inv(L)
+        coarse = Linv.T @ Linv
+        return LinearOperator(
+            A.shape, matvec=lambda b: _vcycle(levels, self._transfers,
+                                              weights, coarse, b, 0)
+        )
+
+
+def _galerkin(A, P, R) -> sp.csr_matrix:
+    """R A P, averaged with its transpose so it is symmetric bit for bit."""
+    Ac = R @ (A @ P)
+    return ((Ac + Ac.T) * 0.5).tocsr()
+
+
+def _jacobi_weights(A: sp.csr_matrix) -> np.ndarray:
+    """omega / diag(A) with omega = 4 / (3 rho), rho Gershgorin-bounding
+    the spectrum of diag(A)^-1 A, so damped Jacobi contracts in energy."""
+    diag = A.diagonal()
+    rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) / diag))
+    return (4.0 / (3.0 * rho)) / diag
+
+
+def _vcycle(levels, transfers, weights, coarse, b, level):
+    """x ~ A^-1 b: two damped-Jacobi sweeps before and after the coarse
+    correction, the coarsest level solved exactly by its inverse."""
+    if level == len(transfers):
+        return coarse @ b
+    A, w = levels[level], weights[level]
+    P, R = transfers[level]
+    x = w * b
+    x += w * (b - A @ x)
+    x += P @ _vcycle(levels, transfers, weights, coarse, R @ (b - A @ x),
+                     level + 1)
+    x += w * (b - A @ x)
+    x += w * (b - A @ x)
+    return x
+
+
+def _neighbour_max(indptr, indices, values):
+    """Per row, the max of ``values`` over the row's columns."""
+    return np.maximum.reduceat(values[indices], indptr[:-1])
+
+
+def _aggregates(A: sp.csr_matrix) -> np.ndarray:
+    """Aggregate index of every row of A.
+
+    Roots form a distance-2 maximal independent set of the strength
+    graph (|a_ij| >= theta sqrt(a_ii a_jj), self loops kept), chosen in
+    rounds by the largest key among undecided rows within distance 2;
+    the key is a fixed bijective hash of the row index, so the result is
+    deterministic and needs no coordinates.  Each root takes its
+    neighbours, and each remaining row joins the neighbouring aggregate
+    it is most strongly connected to (ties: the largest-numbered).
+    """
+    n = A.shape[0]
+    diag = A.diagonal()
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
+    strong = (rows == A.indices) | (
+        np.abs(A.data) >= _STRENGTH * np.sqrt(diag[rows] * diag[A.indices])
+    )
+    indices = A.indices[strong]
+    weight = np.abs(A.data[strong])
+    rows = rows[strong]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+
+    def ring2(values):
+        return _neighbour_max(indptr, indices,
+                              _neighbour_max(indptr, indices, values))
+
+    selected = np.int64(1) << 40
+    key = ((np.arange(n, dtype=np.uint64) * np.uint64(2654435761))
+           & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    undecided = np.ones(n, dtype=bool)
+    while undecided.any():
+        near = ring2(key)
+        key[undecided & (near == selected)] = -1  # a root within distance 2
+        key[undecided & (near == key)] = selected
+        undecided = (key >= 0) & (key < selected)
+    roots = key == selected
+    root_id = np.full(n, -1, dtype=np.int64)
+    root_id[roots] = np.arange(int(roots.sum()))
+    agg = _neighbour_max(indptr, indices, root_id)
+    # the rest join the aggregate they are most strongly connected to
+    w = np.where(agg[indices] >= 0, weight, -1.0)
+    best = np.maximum.reduceat(w, indptr[:-1])
+    pick = np.where(w == best[rows], agg[indices], -1)
+    return np.where(agg >= 0, agg, np.maximum.reduceat(pick, indptr[:-1]))
+
+
+def _aggregation_hierarchy(A: sp.csr_matrix) -> list:
+    """(P, R) per level: aggregates of the current level, tentative
+    piecewise-constant prolongator smoothed once by damped Jacobi."""
+    transfers = []
+    while A.shape[0] > _MAX_COARSE:
+        n = A.shape[0]
+        agg = _aggregates(A)
+        nc = int(agg.max()) + 1
+        if 2 * nc > n:
+            raise SolverFailure(
+                f"aggregation could not halve a level of {n} unknowns"
+            )
+        T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, nc))
+        P = (T - sp.diags(_jacobi_weights(A)) @ (A @ T)).tocsr()
+        R = P.T.tocsr()
+        transfers.append((P, R))
+        A = _galerkin(A, P, R)
+    return transfers
+
+
+def _solver_for(system: LinearSystem):
+    """(solver, matrix): the assembler's own solver for its matrices,
+    else a fresh one on a canonical CSR copy of the matrix."""
+    K = system.matrix
+    solver = getattr(K, "dirichlet_solver", None)
+    if solver is None or not solver.matches(K, system.boundary):
+        K = sp.csr_matrix(K, copy=True)
+        K.sum_duplicates()
+        solver = DirichletSolver(K.indptr, K.indices, system.boundary)
+    return solver, K
+
+
 def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
                     x0: np.ndarray | None = None) -> np.ndarray:
     """Solve with zero Dirichlet values via symmetric elimination.
 
-    Boundary rows and columns are removed (the boundary values are set
-    to exactly 0.0), and the reduced SPD system is solved by conjugate
-    gradients with a Jacobi preconditioner down to a relative residual
-    of ``rtol``.
+    The boundary rows and columns are dropped (the boundary values are
+    set to exactly 0.0) by gathering the free-dof block straight from
+    the matrix data, and the reduced SPD system is solved by conjugate
+    gradients down to a relative residual of ``rtol``.  The
+    preconditioner is a smoothed-aggregation multigrid V-cycle.  For a
+    matrix from a ``StiffnessAssembler`` the free-dof pattern, gather
+    and aggregation hierarchy belong to the assembler and are reused
+    across solves; only the Galerkin coarse operators are rebuilt.
 
     Raises
     ------
     SolverFailure
-        If CG stops without reaching the tolerance; the message reports
-        the achieved relative residual.
+        If CG stops without reaching the tolerance (the message reports
+        the achieved relative residual), or if the multigrid set-up
+        fails: a level that aggregation cannot halve, or a coarsest
+        operator that is not positive definite.
+    IllPosedCoefficientError
+        If the reduced matrix has a nonpositive diagonal entry.
     """
-    free = np.flatnonzero(~system.boundary)
-    K = system.matrix[free][:, free].tocsr()
+    solver, K = _solver_for(system)
+    free = solver.free
     b = system.rhs[free]
     u = np.zeros(system.rhs.shape[0])
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u
-    diag = K.diagonal()
+    A = solver.reduce(K)
+    diag = A.diagonal()
     if not (diag > 0.0).all():
         i = int(np.flatnonzero(diag <= 0.0)[0])
         raise IllPosedCoefficientError(
             f"nonpositive stiffness diagonal at reduced index {i}"
         )
-    inv = 1.0 / diag
-    M = LinearOperator(K.shape, matvec=lambda x: inv * x)
     x_init = x0[free] if x0 is not None else None
-    x, info = cg(K, b, x0=x_init, rtol=rtol, atol=0.0, M=M,
-                 maxiter=20 * K.shape[0])
-    res = float(np.linalg.norm(b - K @ x)) / bnorm
+    x, info = cg(A, b, x0=x_init, rtol=rtol, atol=0.0,
+                 M=solver.preconditioner(A), maxiter=20 * A.shape[0])
+    res = float(np.linalg.norm(b - A @ x)) / bnorm
     if info != 0 or res > rtol * 1.01:
         raise SolverFailure(
             f"CG stopped with info={info}, relative residual {res:.3e} "

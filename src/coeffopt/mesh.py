@@ -266,38 +266,36 @@ def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None,
     point_data = point_data or {}
     cell_data = cell_data or {}
     nv, nt = mesh.n_vertices, mesh.n_cells
-    lines = [
-        "# vtk DataFile Version 2.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} float",
-    ]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.12e} {y:.12e} 0.0")
-    lines.append(f"CELLS {nt} {4 * nt}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {nt}")
-    lines.extend(["5"] * nt)  # VTK_TRIANGLE
-    if point_data:
-        lines.append(f"POINT_DATA {nv}")
-        for name, values in point_data.items():
+    sections = []
+    for kind, fields, size in (("POINT", point_data, nv),
+                               ("CELL", cell_data, nt)):
+        checked = {}
+        for name, values in fields.items():
             values = np.asarray(values, dtype=float)
-            if values.shape != (nv,):
-                raise ValueError(f"point field {name!r} has shape {values.shape}")
-            lines.append(f"SCALARS {name} float 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.12e}" for v in values)
-    if cell_data:
-        lines.append(f"CELL_DATA {nt}")
-        for name, values in cell_data.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != (nt,):
-                raise ValueError(f"cell field {name!r} has shape {values.shape}")
-            lines.append(f"SCALARS {name} float 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.12e}" for v in values)
+            if values.shape != (size,):
+                raise ValueError(
+                    f"{kind.lower()} field {name!r} has shape {values.shape}"
+                )
+            checked[name] = values
+        if checked:
+            sections.append((f"{kind}_DATA {size}", checked))
+
+    # written one block of lines at a time, so the text of a large mesh
+    # is never held in memory as a whole
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        def put(lines):
+            fh.write("\n".join(lines))
+            fh.write("\n")
+
+        put(["# vtk DataFile Version 2.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} float"])
+        put(f"{x:.12e} {y:.12e} 0.0" for x, y in mesh.vertices)
+        put([f"CELLS {nt} {4 * nt}"])
+        put(f"3 {a} {b} {c}" for a, b, c in mesh.triangles)
+        put([f"CELL_TYPES {nt}"])
+        put(["5"] * nt)  # VTK_TRIANGLE
+        for header, fields in sections:
+            put([header])
+            for name, values in fields.items():
+                put([f"SCALARS {name} float 1", "LOOKUP_TABLE default"])
+                put(f"{v:.12e}" for v in values)

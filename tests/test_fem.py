@@ -119,6 +119,16 @@ def test_point_load_snaps_to_nearest_vertex():
     assert np.count_nonzero(b) == 1
 
 
+def test_point_load_snapping_to_boundary_rejected():
+    m = build_unit_square_mesh(4)
+    # nearest vertex (0, 0.5) and the corner (1, 1) carry Dirichlet data
+    for location in [(0.05, 0.49), (1.0, 1.0)]:
+        with pytest.raises(ValueError, match="boundary vertex"):
+            assemble_point_load(m, location)
+        with pytest.raises(ValueError, match="boundary vertex"):
+            assemble_load(m, PointLoad(location))
+
+
 def test_point_load_outside_rejected():
     m = build_unit_disk_mesh(0.3)
     with pytest.raises(ValueError):
@@ -220,3 +230,41 @@ def test_solve_deterministic():
     u1 = solve_state(m, a, 1.0)
     u2 = solve_state(m, a, 1.0)
     assert np.array_equal(u1, u2)
+
+
+def test_multigrid_iterations_stay_flat(monkeypatch):
+    # CG iterations per solve must not grow with 1/h
+    import coeffopt.fem as fem
+
+    cg = fem.cg
+    counts = []
+
+    def counting_cg(*args, **kwargs):
+        n = [0]
+
+        def tick(xk):
+            n[0] += 1
+
+        kwargs["callback"] = tick
+        out = cg(*args, **kwargs)
+        counts.append(n[0])
+        return out
+
+    monkeypatch.setattr(fem, "cg", counting_cg)
+    for n in (32, 64, 128):
+        m = build_unit_square_mesh(n)
+        a = np.linspace(1.0, 2.0, m.n_cells)
+        solve_state(m, a, 1.0)
+    assert max(counts) <= 25, counts
+
+
+def test_bare_linear_system_matches_assembler_path():
+    m = build_unit_disk_mesh(0.05)
+    a = np.linspace(1.0, 3.0, m.n_cells)
+    b = assemble_load(m, 1.0)
+    K = StiffnessAssembler(m).assemble(a)
+    u = solve_dirichlet(LinearSystem(K, b, m.boundary))
+    bare = sp.csr_matrix(K.toarray())  # a matrix with no assembler behind it
+    v = solve_dirichlet(LinearSystem(bare, b, m.boundary))
+    assert np.linalg.norm(u - v) <= 1e-9 * np.linalg.norm(u)
+    assert v[m.boundary].tolist() == [0.0] * int(m.boundary.sum())

@@ -1,0 +1,100 @@
+"""Property tests for the assembler and the multigrid Dirichlet solver.
+
+Small random square and disk meshes with scalar and SPD tensor
+coefficients; the larger meshes have more free vertices than the
+coarsest multigrid level, so the aggregation hierarchy is exercised.
+"""
+
+import functools
+
+import numpy as np
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coeffopt.fem import (
+    LinearSystem,
+    StiffnessAssembler,
+    assemble_load,
+    solve_dirichlet,
+)
+from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
+
+MESHES = [("square", 4), ("square", 16), ("square", 24),
+          ("disk", 0.3), ("disk", 0.1), ("disk", 0.07)]
+
+
+@functools.cache
+def mesh_and_assembler(kind, size):
+    build = build_unit_square_mesh if kind == "square" else build_unit_disk_mesh
+    m = build(size)
+    return m, StiffnessAssembler(m)
+
+
+def random_coefficient(m, seed, tensor):
+    """Scalar in [0.1, 10], or SPD tensor with eigenvalues in that range."""
+    rng = np.random.default_rng(seed)
+    lam1 = 10.0 ** rng.uniform(-1.0, 1.0, m.n_cells)
+    if not tensor:
+        return lam1
+    lam2 = 10.0 ** rng.uniform(-1.0, 1.0, m.n_cells)
+    th = rng.uniform(0.0, np.pi, m.n_cells)
+    c, s = np.cos(th), np.sin(th)
+    return np.column_stack([lam1 * c * c + lam2 * s * s,
+                            (lam1 - lam2) * c * s,
+                            lam1 * s * s + lam2 * c * c])
+
+
+cases = st.tuples(st.sampled_from(MESHES), st.integers(0, 2**32 - 1),
+                  st.booleans())
+SETTINGS = settings(max_examples=30, deadline=None)
+
+
+def system_for(case):
+    (kind, size), seed, tensor = case
+    m, asm = mesh_and_assembler(kind, size)
+    K = asm.assemble(random_coefficient(m, seed, tensor))
+    f = np.random.default_rng(seed + 1).uniform(-1.0, 2.0, m.n_vertices)
+    return m, asm, K, assemble_load(m, f)
+
+
+@SETTINGS
+@given(cases)
+def test_assembled_matrix_symmetric_with_zero_row_sums(case):
+    m, _, K, _ = system_for(case)
+    assert (K != K.T).nnz == 0
+    ones = np.ones(m.n_vertices)
+    assert np.all(np.abs(K @ ones) <= 1e-13 * (abs(K) @ ones))
+
+
+@SETTINGS
+@given(cases)
+def test_reduced_matrix_is_the_free_block(case):
+    m, asm, K, _ = system_for(case)
+    free = ~m.boundary
+    A = asm.solver.reduce(K)
+    ref = K[free][:, free]
+    assert A.shape == ref.shape
+    assert np.array_equal(A.toarray(), ref.toarray())
+
+
+@SETTINGS
+@given(cases)
+def test_multigrid_cg_matches_direct_solve(case):
+    m, asm, K, b = system_for(case)
+    free = ~m.boundary
+    ref = spla.spsolve(K[free][:, free].tocsc(), b[free])
+    system = LinearSystem(K, b, m.boundary)
+    cold = solve_dirichlet(system)
+    assert np.all(cold[m.boundary] == 0.0)
+    assert np.linalg.norm(cold[free] - ref) <= 1e-8 * np.linalg.norm(ref)
+    warm = solve_dirichlet(system, x0=0.5 * cold)
+    assert np.linalg.norm(warm[free] - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@SETTINGS
+@given(cases)
+def test_repeated_solves_are_identical(case):
+    m, _, K, b = system_for(case)
+    system = LinearSystem(K, b, m.boundary)
+    assert np.array_equal(solve_dirichlet(system), solve_dirichlet(system))
