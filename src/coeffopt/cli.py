@@ -56,7 +56,6 @@ _SETTING_TYPES = {
     "out_dir": str,
     "n": int,
     "max_iters": int,
-    "seed": int,
     "h": float,
     "alpha": float,
     "beta": float,
@@ -73,7 +72,6 @@ _DEFAULTS = {
     "out_dir": ".",
     "n": 64,
     "max_iters": 2000,
-    "seed": None,
     "h": 0.02,
     "alpha": 1.0,
     "beta": 2.0,
@@ -144,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="iteration cap")
     p.add_argument("--penalty", choices=VARIANTS,
                    help="penalty for the custom experiment")
-    p.add_argument("--seed", type=int,
-                   help="reserved; every experiment is deterministic")
     return p
 
 

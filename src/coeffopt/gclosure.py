@@ -5,14 +5,17 @@ arithmetic mean mu_t = t alpha + (1-t) beta and the harmonic mean
 nu_t = (t/alpha + (1-t)/beta)^{-1}.  A symmetric tensor is an effective
 tensor of such a mixture (for some t) iff its eigenvalues satisfy the
 d+2 trace inequalities checked by ``is_admissible``; in d = 2 that set
-has the closed form returned by ``d2_lambda2_bounds``.
+has the closed form returned by ``d2_lambda2_bounds``.  For any d, the
+fractions t that satisfy the inequalities form an interval with a
+closed form, so ``is_admissible`` needs no search over t: it checks a
+witness from that interval (its midpoint, or an end on the boundary of
+the set) against the inequalities, with tol bounding their violation,
+and takes a stack of spectra in one call.
 
 Tensor storage convention matches fem: (a11, a12, a22) columns.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -25,6 +28,9 @@ __all__ = [
     "optimal_laminate",
     "optimal_t",
 ]
+
+
+_NORM_FLOOR = np.sqrt(np.finfo(float).tiny)
 
 
 def _check_phases(alpha: float, beta: float):
@@ -78,81 +84,107 @@ def d2_lambda2_bounds(lam1: float, alpha: float, beta: float):
     return lo, hi
 
 
-def _violation(lams: np.ndarray, t: np.ndarray, alpha: float, beta: float):
+def _violation(lams: np.ndarray, t, alpha: float, beta: float):
     """Max constraint violation of the d+2 system at fractions t.
 
-    Decreasing-in-t constraints (the alpha trace bound, nu_t <= lam_min)
-    and increasing ones (the beta trace bound, lam_max <= mu_t) are both
-    folded into one envelope, which is therefore quasiconvex in t.
+    lams holds one spectrum (d,) or a stack (..., d) along its last
+    axis; t broadcasts against the leading shape.  Decreasing-in-t
+    constraints (the alpha trace bound, nu_t <= lam_min) and increasing
+    ones (the beta trace bound, lam_max <= mu_t) are both folded into
+    one envelope, which is therefore quasiconvex in t.
     """
-    d = lams.size
-    mu = t * alpha + (1.0 - t) * beta
-    nu = alpha * beta / (t * beta + (1.0 - t) * alpha)
-    with np.errstate(divide="ignore"):
-        s_a = float(np.sum(1.0 / (lams - alpha)))
-        s_b = float(np.sum(1.0 / (beta - lams)))
-        r_a = 1.0 / (nu - alpha) + (d - 1) / (mu - alpha)
-        r_b = 1.0 / (beta - nu) + (d - 1) / (beta - mu)
+    d = lams.shape[-1]
+    s = beta - alpha
+    ts = t * s
+    with np.errstate(divide="ignore", over="ignore"):
+        s_a = np.add.reduce(1.0 / (lams - alpha), axis=-1)
+        s_b = np.add.reduce(1.0 / (beta - lams), axis=-1)
+        # 1/(nu_t - alpha) + (d-1)/(mu_t - alpha) and the same at beta,
+        # in closed form: nu_t - alpha computed from nu_t cancels near
+        # t = 1
+        r_a = (d + ts / alpha) / (s * (1.0 - t))
+        r_b = (alpha / beta + d - 1 + ts / beta) / ts
     v = np.maximum(s_a - r_a, s_b - r_b)
-    v = np.maximum(v, nu - lams.min())
-    v = np.maximum(v, lams.max() - mu)
-    return v
+    v = np.maximum(v, alpha * beta / (alpha + ts)
+                   - np.minimum.reduce(lams, axis=-1))
+    return np.maximum(v, np.maximum.reduce(lams, axis=-1) - (beta - ts))
 
 
 def is_admissible(eigs, alpha: float, beta: float, tol: float = 1e-9):
     """Whether eigenvalues are realizable by a two-phase mixture.
 
-    Returns (admissible, t) with a witnessing volume fraction when
-    admissible.  The witness is located by a 10^4-point grid scan of the
-    violation envelope followed by golden-section refinement (the
-    envelope is quasiconvex in t).
+    Returns (admissible, t) with a witnessing volume fraction t when
+    admissible, else (False, None).  A stack of spectra, shape (n, d),
+    returns (ok, t) as arrays, t NaN where inadmissible.
+
+    Each of the d+2 trace inequalities is monotone in t and linear once
+    its denominators are cleared, so the admissible fractions form an
+    interval [t_lo, t_hi] with a closed form for every d.  With
+    s = beta - alpha, S_a = sum 1/(lam_i - alpha) and
+    S_b = sum 1/(beta - lam_i):
+
+        t >= alpha (beta - lam_min) / (lam_min s)      nu_t <= lam_min
+        t >= (S_a s - d) / (s (S_a + 1/alpha))         alpha trace bound
+        t <= (beta - lam_max) / s                      lam_max <= mu_t
+        t <= (alpha/beta + d - 1) / (s (S_b - 1/beta)) beta trace bound
+
+    (S_b > d/s > 1/beta inside the box, so the last cap is finite.)
+    The witness is the midpoint of [t_lo, t_hi] or, when the midpoint
+    fails, the better of the two ends, each moved 4 ulps past its own
+    bound; all are clipped to [0, 1].  The spectrum is admissible iff
+    the max violation of the system at the witness is at most tol, in
+    the units of the constraints themselves: tol bounds the violation,
+    not the distance to the admissible set.  The ends matter on the
+    boundary of the set, where the interval is one point up to
+    rounding: near a pure phase a trace bound is so steep in t that one
+    ulp of t moves it by more than tol, and only a candidate strictly
+    on its side passes.
 
     Eigenvalues more than tol outside [alpha, beta] are inadmissible;
-    values within tol of a bound are snapped onto it, where the trace
-    inequalities degenerate: an eigenvalue exactly at alpha (resp. beta)
-    is only admissible when all of them are.
+    the others are clipped into it.  An eigenvalue at alpha (resp.
+    beta), where the trace inequalities degenerate, forces the pure
+    phase t = 1 (resp. t = 0): the spectrum is then admissible iff all
+    its eigenvalues lie within tol of that phase value.
     """
     _check_phases(alpha, beta)
-    lams = np.sort(np.asarray(eigs, dtype=float))
-    if lams.size < 2:
-        raise ValueError("need at least two eigenvalues")
-    if lams[0] < alpha - tol or lams[-1] > beta + tol:
-        return False, None
-    lams = np.clip(lams, alpha, beta)
-    at_alpha = lams <= alpha
-    at_beta = lams >= beta
-    if at_alpha.any():
-        return (True, 1.0) if at_alpha.all() else (False, None)
-    if at_beta.any():
-        return (True, 0.0) if at_beta.all() else (False, None)
-
-    grid = np.linspace(0.0, 1.0, 10001)
-    v = _violation(lams, grid, alpha, beta)
-    k = int(np.argmin(v))
-    if v[k] <= tol:
-        return True, float(grid[k])
-    # refine around the best grid point: golden-section on the envelope
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc = float(_violation(lams, np.asarray(c), alpha, beta))
-    fd = float(_violation(lams, np.asarray(d_), alpha, beta))
-    for _ in range(120):
-        if fc <= fd:
-            b, d_, fd = d_, c, fc
-            c = b - invphi * (b - a)
-            fc = float(_violation(lams, np.asarray(c), alpha, beta))
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = float(_violation(lams, np.asarray(d_), alpha, beta))
-    t_best = c if fc <= fd else d_
-    if float(_violation(lams, np.asarray(t_best), alpha, beta)) <= tol:
-        return True, float(t_best)
-    return False, None
+    lams = np.sort(np.asarray(eigs, dtype=float), axis=-1)
+    if lams.ndim not in (1, 2) or lams.shape[-1] < 2:
+        raise ValueError("need at least two eigenvalues (or a stack (n, d))")
+    d = lams.shape[-1]
+    s = beta - alpha
+    # [()] turns the 0-d views of one spectrum into numpy scalars,
+    # whose arithmetic costs far less than that of 0-d arrays
+    inside = ((lams[..., 0][()] >= alpha - tol)
+              & (lams[..., -1][()] <= beta + tol))
+    lams = np.minimum(np.maximum(lams, alpha), beta)
+    lo, hi = lams[..., 0][()], lams[..., -1][()]
+    # spectra touching a phase value give inf/NaN here; the pure-phase
+    # rule below replaces them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_a = np.add.reduce(1.0 / (lams - alpha), axis=-1)
+        s_b = np.add.reduce(1.0 / (beta - lams), axis=-1)
+        t_lo = np.maximum(alpha * (beta - lo) / (lo * s),
+                          (s_a * s - d) / (s * (s_a + 1.0 / alpha)))
+        t_hi = np.minimum((beta - hi) / s,
+                          (alpha / beta + d - 1) / (s * (s_b - 1.0 / beta)))
+        # candidates along a new first axis, against which the
+        # spectra's leading shape broadcasts
+        cand = np.array([0.5 * (t_lo + t_hi),
+                         t_lo + 4.0 * np.spacing(t_lo),
+                         t_hi - 4.0 * np.spacing(t_hi)])
+        cand = np.minimum(np.maximum(cand, 0.0), 1.0)
+        v = _violation(lams, cand, alpha, beta)
+    t = np.where(v[0] <= tol, cand[0],
+                 np.where(v[1] <= v[2], cand[1], cand[2]))
+    edge = (lo <= alpha) | (hi >= beta)
+    pure_alpha = hi <= alpha + tol
+    ok = inside & np.where(edge, pure_alpha | (lo >= beta - tol),
+                           np.minimum.reduce(v) <= tol)
+    # a pure phase is t = 1 at alpha, t = 0 at beta
+    t = np.where(ok, np.where(edge, pure_alpha, t), np.nan)
+    if lams.ndim == 2:
+        return ok, t
+    return (True, float(t)) if ok else (False, None)
 
 
 def eig_sym_2x2(tcols: np.ndarray):
@@ -199,7 +231,10 @@ def optimal_laminate(grad_u, grad_p, mu, nu):
     gradients, nu along w1 - w2.  Degenerate cases: parallel gradients
     put mu along the common direction (nu orthogonal), antiparallel
     gradients put nu along it (mu orthogonal), and a vanishing gradient
-    yields the isotropic nu * I.
+    yields the isotropic nu * I.  A gradient shorter than sqrt(tiny)
+    (about 1.5e-154) counts as vanishing: its squared components are
+    subnormal, so its computed norm is inexact and would not normalize
+    it.
 
     Accepts single vectors (shape (2,)) or stacks (n, 2); mu, nu may be
     scalars or arrays.  Returns tensors in (a11, a12, a22) storage.
@@ -212,7 +247,7 @@ def optimal_laminate(grad_u, grad_p, mu, nu):
     nu = np.broadcast_to(np.asarray(nu, dtype=float), (n,))
     nu_norm = np.linalg.norm(gu, axis=1)
     np_norm = np.linalg.norm(gp, axis=1)
-    ok = (nu_norm > 0.0) & (np_norm > 0.0)
+    ok = (nu_norm >= _NORM_FLOOR) & (np_norm >= _NORM_FLOOR)
     w1 = np.where(ok[:, None], gu / np.where(ok, nu_norm, 1.0)[:, None], 0.0)
     w2 = np.where(ok[:, None], gp / np.where(ok, np_norm, 1.0)[:, None], 0.0)
     c = (w1 * w2).sum(axis=1)

@@ -16,7 +16,10 @@ Three drivers share one report format:
 Every accepted step strictly decreases the cost; runs stop on the
 relative-change ratio |J_k - J_{k-1}| / |J_0| < tol, on a projection
 fixed point (stationarity), or - reported, not raised - on a stalled
-line search.
+line search.  A line-search trial whose solve raises ``SolverFailure``
+or whose cost is not finite is a rejected step: the step halves and
+the halving counts against the budget.  Failures of the initial,
+adjoint and final solves still raise.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from . import penalty as pen
 from .fem import (
     LinearSystem,
+    SolverFailure,
     StiffnessAssembler,
     assemble_load,
     cell_gradient,
@@ -222,9 +226,13 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
                 # independent of the step size
                 fixed_point = True
                 break
-            u_t = solve(trial, x0=u)
-            J_t = cost(trial, u_t)
-            if J_t < J:
+            try:
+                u_t = solve(trial, x0=u)
+            except SolverFailure:
+                J_t = np.nan
+            else:
+                J_t = cost(trial, u_t)
+            if np.isfinite(J_t) and J_t < J:
                 accepted = True
                 break
             eps *= 0.5
@@ -423,9 +431,13 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
                 a_new = clamp_spectrum(a_new, nu_n, mu_n)
                 if np.array_equal(t_new, t) and np.array_equal(a_new, A):
                     return None  # too small to move the iterate
-                u_t = solve(a_new, load, x0=u)
-                J_t = total_cost(u_t, mu_n)
-                if J_t < J:
+                try:
+                    u_t = solve(a_new, load, x0=u)
+                except SolverFailure:
+                    J_t = np.nan
+                else:
+                    J_t = total_cost(u_t, mu_n)
+                if np.isfinite(J_t) and J_t < J:
                     return t_new, a_new, mu_n, nu_n, u_t, J_t, eps_try
                 eps_try *= 0.5
             return None

@@ -53,16 +53,14 @@ class PenaltySpec:
     """Penalty variant plus its parameters.
 
     alpha, beta bound the box variants (0 < alpha < beta); gamma is the
-    weight of the box variants; tau records the threshold parameter of
-    the counterexample configuration (informational).  half=True marks
-    the psi/2 convention of the energy track.
+    weight of the box variants.  half=True marks the psi/2 convention
+    of the energy track.
     """
 
     variant: str
     alpha: float = 1.0
     beta: float = 2.0
     gamma: float | None = None
-    tau: float | None = None
     half: bool = False
 
     def __post_init__(self):
@@ -89,8 +87,7 @@ def counterexample_penalty(tau: float, d: int = 2) -> PenaltySpec:
     """psi(s) = tau^2 * s on [1, 2]; requires 0 < tau < 1/d."""
     if not (0.0 < tau < 1.0 / d):
         raise ValueError(f"tau must lie in (0, 1/{d}), got {tau}")
-    return PenaltySpec("linear-box", alpha=1.0, beta=2.0,
-                       gamma=tau * tau, tau=tau)
+    return PenaltySpec("linear-box", alpha=1.0, beta=2.0, gamma=tau * tau)
 
 
 def _in_domain(spec: PenaltySpec, a):

@@ -68,6 +68,9 @@ def test_is_admissible_cases():
     assert ok and t == 0.0
     ok, _ = is_admissible((1.0, 2.0), A, B)
     assert not ok
+    # a pure phase rounded one ulp inside the box is still that phase
+    ok, t = is_admissible((B - 2.0**-52, B), A, B)
+    assert ok and t == 0.0
 
 
 def test_is_admissible_on_lamination_curve():
@@ -97,6 +100,11 @@ def test_is_admissible_validates():
         is_admissible((1.5, 1.6), 2.0, 1.0)
     with pytest.raises(ValueError):
         is_admissible((1.5,), A, B)
+    with pytest.raises(ValueError):
+        is_admissible(np.full((2, 2, 2), 1.5), A, B)
+    ok, t = is_admissible([(1.4, 1.45), (1.4, 1.7), (1.0, 1.0)], A, B)
+    assert ok.tolist() == [True, False, True]
+    assert np.isnan(t[1]) and t[2] == 1.0
 
 
 def test_eig_sym_2x2():
@@ -171,6 +179,10 @@ def test_optimal_laminate_antiparallel_gradients():
 def test_optimal_laminate_zero_gradient():
     g = np.zeros((1, 2))
     out = optimal_laminate(g, g, np.array([1.75]), np.array([1.6]))
+    assert np.allclose(out[0], [1.6, 0.0, 1.6], atol=1e-15)
+    # a gradient whose squares are subnormal cannot be normalized
+    tiny = np.array([[0.0, 3.9e-162]])
+    out = optimal_laminate(tiny, np.array([[0.0, 1.0]]), 1.75, 1.6)
     assert np.allclose(out[0], [1.6, 0.0, 1.6], atol=1e-15)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from coeffopt.fem import grad_norm_sq, solve_state
+from coeffopt import optimize
+from coeffopt.fem import SolverFailure, grad_norm_sq, solve_state
 from coeffopt.gclosure import eig_sym_2x2, lamination_means
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from coeffopt.oracles import counterexample_fields, ex11_ball
@@ -250,3 +251,53 @@ def test_initial_coefficient_override():
     assert abs(rep.costs[0] - J0) < 1e-9
     with pytest.raises(ValueError):
         compliance_descent(m, 1.0, spec, DescentConfig(a0=np.ones(3)))
+
+
+def _fail_first_trial(monkeypatch):
+    """Make the first warm-started solve (a line-search trial in both
+    drivers: the initial and first adjoint solves start cold) raise."""
+    real = optimize.solve_dirichlet
+    failures = []
+
+    def solve(system, rtol=1e-10, x0=None):
+        if x0 is not None and not failures:
+            failures.append(system)
+            raise SolverFailure("injected trial failure")
+        return real(system, rtol=rtol, x0=x0)
+
+    monkeypatch.setattr(optimize, "solve_dirichlet", solve)
+    return failures
+
+
+def _run_compliance():
+    m = build_unit_square_mesh(8)
+    return compliance_descent(m, 1.0, PenaltySpec("quadratic"),
+                              DescentConfig(max_iters=20))[2]
+
+
+def _run_general():
+    m = build_unit_disk_mesh(0.2)
+    return general_relaxed_optimize(m, 1.0, LinearCost(1.0), 0.23539 ** 2,
+                                    1.0, 2.0, DescentConfig(max_iters=20))[4]
+
+
+@pytest.mark.parametrize("run", [_run_compliance, _run_general])
+def test_failed_trial_solve_is_rejected_step(monkeypatch, run):
+    clean = run()
+    failures = _fail_first_trial(monkeypatch)
+    rep = run()
+    assert len(failures) == 1
+    assert rep.iterations > 0
+    assert np.all(np.diff(rep.costs) < 0.0)
+    # the failed trial halved the first step
+    assert rep.steps[0] == 0.5 * clean.steps[0]
+
+
+@pytest.mark.parametrize("run", [_run_compliance, _run_general])
+def test_failed_initial_solve_raises(monkeypatch, run):
+    def solve(system, rtol=1e-10, x0=None):
+        raise SolverFailure("injected")
+
+    monkeypatch.setattr(optimize, "solve_dirichlet", solve)
+    with pytest.raises(SolverFailure):
+        run()
