@@ -13,8 +13,13 @@ conjugate gradients preconditioned with a smoothed-aggregation
 multigrid V-cycle (Vanek, Mandel and Brezina, 1996), so the iteration
 count stays flat as the mesh is refined.  A ``StiffnessAssembler`` is
 the per-mesh solver state: it keeps the free-dof pattern, the gather
-that fills it and the aggregation hierarchy, so repeated solves on one
-mesh only rebuild the Galerkin coarse operators.
+that fills it and the aggregation transfers, which live as long as the
+assembler.  What depends on the coefficient - the reduced matrix and
+the V-cycle on its Galerkin coarse operators - belongs to the assembled
+matrix: it is built on the matrix's first solve, reused by every later
+solve of the same matrix object and freed with it.  A caller that solves
+twice with one operator (a state and its adjoint) keeps the matrix; one
+that drops it keeps nothing.
 
 Field conventions
 -----------------
@@ -46,6 +51,7 @@ __all__ = [
     "assemble_point_load",
     "LinearSystem",
     "solve_dirichlet",
+    "release_operators",
     "solve_state",
     "cell_gradient",
     "grad_norm_sq",
@@ -116,8 +122,8 @@ class StiffnessAssembler:
     mesh, so they are computed once.  Repeated assemblies (every
     optimizer iteration) reduce to the six upper local entries per cell
     and one deterministic scatter; each entry lands in both of its
-    slots, so the matrix is symmetric bit for bit.  The multigrid
-    hierarchy of ``solve_dirichlet`` is built on the first solve of a
+    slots, so the matrix is symmetric bit for bit.  The aggregation
+    transfers of ``solve_dirichlet`` are built on the first solve of a
     matrix from this assembler and reused by every later one.
     """
 
@@ -265,8 +271,9 @@ class DirichletSolver:
     Built from the CSR pattern of the full matrix and the Dirichlet
     mask, it holds the pattern of the reduced (free-dof) matrix and the
     gather that fills it from the full matrix's data.  The aggregation
-    hierarchy is built from the first reduced matrix it sees and kept;
-    each later matrix only recomputes the Galerkin coarse operators.
+    transfers are built from the first reduced matrix it sees and kept;
+    each later matrix only recomputes the Galerkin coarse operators,
+    once, on its first solve (``operators``).
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
@@ -303,6 +310,25 @@ class DirichletSolver:
             shape=(n, n),
         )
 
+    def operators(self, matrix: sp.csr_matrix):
+        """(A, M): the reduced matrix and its V-cycle.
+
+        Both are built on the matrix's first solve and kept on the
+        matrix object, so they live exactly as long as it does; the
+        matrix must not be modified after it has been solved with.
+        """
+        ops = getattr(matrix, "_dirichlet_operators", None)
+        if ops is None:
+            A = self.reduce(matrix)
+            diag = A.diagonal()
+            if not (diag > 0.0).all():
+                i = int(np.flatnonzero(diag <= 0.0)[0])
+                raise IllPosedCoefficientError(
+                    f"nonpositive stiffness diagonal at reduced index {i}"
+                )
+            ops = matrix._dirichlet_operators = (A, self.preconditioner(A))
+        return ops
+
     def preconditioner(self, A: sp.csr_matrix) -> LinearOperator:
         """Symmetric V-cycle for the reduced matrix A, as an SPD operator."""
         if self._transfers is None:
@@ -321,9 +347,11 @@ class DirichletSolver:
         # formed as one symmetric product
         Linv = np.linalg.inv(L)
         coarse = Linv.T @ Linv
+        # the dtype is given, so scipy does not probe it with a V-cycle
         return LinearOperator(
             A.shape, matvec=lambda b: _vcycle(levels, self._transfers,
-                                              weights, coarse, b, 0)
+                                              weights, coarse, b, 0),
+            dtype=A.dtype,
         )
 
 
@@ -450,8 +478,13 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     gradients down to a relative residual of ``rtol``.  The
     preconditioner is a smoothed-aggregation multigrid V-cycle.  For a
     matrix from a ``StiffnessAssembler`` the free-dof pattern, gather
-    and aggregation hierarchy belong to the assembler and are reused
-    across solves; only the Galerkin coarse operators are rebuilt.
+    and aggregation transfers belong to the assembler and are reused
+    across matrices.  The reduced matrix and the V-cycle (its Galerkin
+    coarse operators and coarsest factor) belong to the matrix object:
+    built on its first solve, reused by later solves of the same object
+    with any load, freed with it.  Solving twice with one operator
+    therefore costs one set-up; a caller that wants nothing kept drops
+    the matrix.
 
     Raises
     ------
@@ -470,16 +503,10 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u
-    A = solver.reduce(K)
-    diag = A.diagonal()
-    if not (diag > 0.0).all():
-        i = int(np.flatnonzero(diag <= 0.0)[0])
-        raise IllPosedCoefficientError(
-            f"nonpositive stiffness diagonal at reduced index {i}"
-        )
+    A, M = solver.operators(K)
     x_init = x0[free] if x0 is not None else None
-    x, info = cg(A, b, x0=x_init, rtol=rtol, atol=0.0,
-                 M=solver.preconditioner(A), maxiter=20 * A.shape[0])
+    x, info = cg(A, b, x0=x_init, rtol=rtol, atol=0.0, M=M,
+                 maxiter=20 * A.shape[0])
     res = float(np.linalg.norm(b - A @ x)) / bnorm
     if info != 0 or res > rtol * 1.01:
         raise SolverFailure(
@@ -488,6 +515,14 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
         )
     u[free] = x
     return u
+
+
+def release_operators(matrix: sp.csr_matrix) -> None:
+    """Free the reduced matrix and V-cycle kept on a solved matrix.
+
+    The matrix stays usable; its next solve builds them again.
+    """
+    matrix.__dict__.pop("_dirichlet_operators", None)
 
 
 def solve_state(mesh: Mesh, coeff, f, rtol: float = 1e-10,

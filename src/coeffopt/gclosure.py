@@ -134,7 +134,13 @@ def is_admissible(eigs, alpha: float, beta: float, tol: float = 1e-9):
     bound; all are clipped to [0, 1].  The spectrum is admissible iff
     the max violation of the system at the witness is at most tol, in
     the units of the constraints themselves: tol bounds the violation,
-    not the distance to the admissible set.  The ends matter on the
+    not the distance to the admissible set.  The ratio of violation to
+    distance depends on the phases.  At (alpha, beta) = (1, 2) no d = 2
+    pair 1e-9 beyond ``d2_lambda2_bounds`` is accepted; at (1, 10)
+    about 35% of such pairs are (6% at 2e-9, none at 3e-9), and at
+    (1, 100) 4% even at 3e-9.  A caller that needs a distance band must
+    scale tol by the phase contrast: tol * alpha / beta gave that band
+    at 1e-9 for all three pairs in a seeded sweep.  The ends matter on the
     boundary of the set, where the interval is one point up to
     rounding: near a pure phase a trace bound is so steep in t that one
     ulp of t moves it by more than tol, and only a candidate strictly

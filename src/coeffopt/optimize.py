@@ -37,6 +37,7 @@ from .fem import (
     cell_gradient,
     cost_functional,
     grad_norm_sq,
+    release_operators,
     solve_dirichlet,
 )
 from .gclosure import (
@@ -125,7 +126,9 @@ class LinearCost:
 
     state_derivative passes the weight through unchanged so that a
     scalar weight equal to a scalar load f gives an adjoint right-hand
-    side bit-identical to the load (and hence p == u bitwise).
+    side bit-identical to the load; ``general_relaxed_optimize`` then
+    takes the state itself as the adjoint (p is u) and makes no adjoint
+    solve.
     """
 
     weight: float | np.ndarray = 1.0
@@ -284,9 +287,10 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     J_prev = None
     for k in range(config.max_iters + 1):
         mu, nu = lamination_means(t, alpha, beta)
-        K = asm.assemble(nu)
-        u = solve_dirichlet(LinearSystem(K, load, mesh.boundary),
-                            rtol=config.solver_rtol, x0=u)
+        # the matrix is not kept past its solve, nor its solver set-up
+        u = solve_dirichlet(
+            LinearSystem(asm.assemble(nu), load, mesh.boundary),
+            rtol=config.solver_rtol, x0=u)
         gsq = grad_norm_sq(mesh, u)
         J = 0.5 * float((mesh.cell_areas * nu) @ gsq) - float(load @ u) \
             + 0.5 * gamma * float(mesh.cell_areas @ (beta - mu))
@@ -351,6 +355,21 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     whose state and adjoint gradients genuinely disagree.  Laminate
     axes always come from the raw gradients.  Returns
     (t, A, u, p, report); A in (a11, a12, a22) column storage.
+
+    Each coefficient costs one solver set-up.  When the adjoint load
+    equals the state load bit for bit (a ``LinearCost`` weight equal to
+    f, the compliance case), p is u itself and no adjoint is solved.
+    In the loop that is exactly what the solve would return: it would
+    repeat the state's solve from the same warm start.  (The final
+    adjoint of a run whose last iteration accepts no step is u as well,
+    where a re-solve from x0 = u could move it by a CG step inside the
+    tolerance.)  Otherwise the adjoint is solved with the assembled
+    matrix of the accepted trial, or of the initial state, whose
+    reduced matrix and V-cycle that solve already built.  The matrix is
+    dropped after the adjoint solve, so each trial solve runs with no
+    other multigrid set-up alive; a trial set aside while the fallback
+    step is tried keeps its matrix but frees its set-up, which its
+    adjoint then rebuilds.
     """
     config = config or DescentConfig()
     asm = StiffnessAssembler(mesh)
@@ -361,10 +380,16 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     if g.shape != (mesh.n_cells,):
         raise ValueError(f"g_field must be scalar or shape ({mesh.n_cells},)")
 
-    def solve(coeff, rhs, x0=None):
-        K = asm.assemble(coeff)
+    def solve(K, rhs, x0=None):
         return solve_dirichlet(LinearSystem(K, rhs, mesh.boundary),
                                rtol=config.solver_rtol, x0=x0)
+
+    def adjoint(K, A, u, p):
+        # K: the assembled matrix of A, or None when none was kept
+        rhs = assemble_load(mesh, cost.state_derivative(mesh, u))
+        if np.array_equal(rhs, load):
+            return u
+        return solve(K if K is not None else asm.assemble(A), rhs, x0=p)
 
     def total_cost(u, mu):
         return cost.value(mesh, u) + float(mesh.cell_areas @ (g * mu))
@@ -378,7 +403,8 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     t = np.full(mesh.n_cells, float(config.t0))
     mu, nu = lamination_means(t, alpha, beta)
     A = tensor_from_iso(nu)
-    u = solve(A, load)
+    K = asm.assemble(A)
+    u = solve(K, load)
     J = total_cost(u, mu)
     report = OptReport(costs=[J])
     j0 = max(abs(J), 1e-300)
@@ -387,12 +413,15 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     eps0 = float(config.step0)
     eps = eps0
     for _ in range(config.max_iters):
-        p = solve(A, assemble_load(mesh, cost.state_derivative(mesh, u)),
-                  x0=p)
+        p = adjoint(K, A, u, p)
+        K = None  # freed before the trial solves build their own
         gu = cell_gradient(mesh, u)
-        gp = cell_gradient(mesh, p)
         gu_s = _smoothed_cell_gradient(mesh, u)
-        gp_s = _smoothed_cell_gradient(mesh, p)
+        if p is u:
+            gp, gp_s = gu, gu_s
+        else:
+            gp = cell_gradient(mesh, p)
+            gp_s = _smoothed_cell_gradient(mesh, p)
         norm_u = np.hypot(gu_s[:, 0], gu_s[:, 1])
         norm_p = np.hypot(gp_s[:, 0], gp_s[:, 1])
         dot = gu_s[:, 0] * gp_s[:, 0] + gu_s[:, 1] * gp_s[:, 1]
@@ -431,14 +460,16 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
                 a_new = clamp_spectrum(a_new, nu_n, mu_n)
                 if np.array_equal(t_new, t) and np.array_equal(a_new, A):
                     return None  # too small to move the iterate
+                K_t = asm.assemble(a_new)
                 try:
-                    u_t = solve(a_new, load, x0=u)
+                    u_t = solve(K_t, load, x0=u)
                 except SolverFailure:
                     J_t = np.nan
                 else:
                     J_t = total_cost(u_t, mu_n)
                 if np.isfinite(J_t) and J_t < J:
-                    return t_new, a_new, mu_n, nu_n, u_t, J_t, eps_try
+                    return t_new, a_new, mu_n, nu_n, u_t, J_t, eps_try, K_t
+                K_t = None  # a rejected trial's set-up goes before the next
                 eps_try *= 0.5
             return None
 
@@ -457,14 +488,18 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
             # fraction update blocked or exhausted; a move toward the
             # Hamiltonian maximizer inside the current box still
             # descends and realizes the laminate at fixed fraction
+            if hit is not None:
+                release_operators(hit[-1])  # one set-up alive at a time
             alt = attempt(t, a_box, eps0)
             if alt is not None and (hit is None or alt[5] < hit[5]):
                 hit = alt
                 used_fallback = True
+            del alt
         if hit is None:
             report.stagnated = True
             break
-        t_new, a_new, mu_n, nu_n, u_t, J_t, eps_used = hit
+        t_new, a_new, mu_n, nu_n, u_t, J_t, eps_used, K = hit
+        del hit  # K alone holds the accepted set-up, until the adjoint
 
         lam1, lam2, _, _ = eig_sym_2x2(a_new)
         if np.any(lam1 < nu_n - 1e-10) or np.any(lam2 > mu_n + 1e-10):
@@ -484,7 +519,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
 
     # the loop's adjoint lags one accepted update; pair it with the
     # final tensor
-    p = solve(A, assemble_load(mesh, cost.state_derivative(mesh, u)), x0=p)
+    p = adjoint(K, A, u, p)
     report.final_t = t
     report.final_tensor = A
     report.final_u = u

@@ -15,6 +15,7 @@ from coeffopt.fem import (
     compliance,
     cost_functional,
     grad_norm_sq,
+    release_operators,
     solve_dirichlet,
     solve_state,
 )
@@ -268,3 +269,42 @@ def test_bare_linear_system_matches_assembler_path():
     v = solve_dirichlet(LinearSystem(bare, b, m.boundary))
     assert np.linalg.norm(u - v) <= 1e-9 * np.linalg.norm(u)
     assert v[m.boundary].tolist() == [0.0] * int(m.boundary.sum())
+
+
+def test_one_matrix_serves_two_loads(monkeypatch):
+    # a matrix keeps its reduced form and V-cycle from its first solve;
+    # a second solve with another load and a warm start returns what
+    # the same solve on a freshly assembled matrix returns
+    import coeffopt.fem as fem
+
+    builds = []
+    real = fem.DirichletSolver.preconditioner
+
+    def counting(self, A):
+        builds.append(A.shape)
+        return real(self, A)
+
+    monkeypatch.setattr(fem.DirichletSolver, "preconditioner", counting)
+    m = build_unit_disk_mesh(0.1)
+    asm = StiffnessAssembler(m)
+    a = np.linspace(1.0, 3.0, m.n_cells)
+    b1 = assemble_load(m, 1.0)
+    b2 = assemble_load(m, 1.0 + 0.5 * m.vertices[:, 0])
+    x0 = np.linspace(0.0, 0.01, m.n_vertices)
+
+    K = asm.assemble(a)
+    u1 = solve_dirichlet(LinearSystem(K, b1, m.boundary), x0=x0)
+    u2 = solve_dirichlet(LinearSystem(K, b2, m.boundary), x0=u1)
+    assert len(builds) == 1
+    v1 = solve_dirichlet(LinearSystem(asm.assemble(a), b1, m.boundary), x0=x0)
+    v2 = solve_dirichlet(LinearSystem(asm.assemble(a), b2, m.boundary), x0=v1)
+    assert len(builds) == 3
+    assert np.array_equal(u1, v1)
+    assert np.array_equal(u2, v2)
+    assert not np.array_equal(u1, u2)
+
+    # a released matrix builds its set-up again, with the same result
+    release_operators(K)
+    w2 = solve_dirichlet(LinearSystem(K, b2, m.boundary), x0=u1)
+    assert len(builds) == 4
+    assert np.array_equal(w2, u2)

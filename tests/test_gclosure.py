@@ -93,6 +93,18 @@ def test_is_admissible_respects_d2_bounds():
         assert ok == (lo - 1e-9 <= lam2 <= hi + 1e-9)
 
 
+def test_is_admissible_rejects_pairs_beyond_d2_upper_bound():
+    # tol bounds the constraint violation; at the phases (1, 2) that
+    # keeps pairs 3e-9 beyond the closed-form boundary out (at higher
+    # contrast it does not, see the is_admissible docstring)
+    rng = np.random.default_rng(2024)
+    lam1 = rng.uniform(A, B, 2000)
+    _, hi = d2_lambda2_bounds(lam1, A, B)
+    ok, t = is_admissible(np.stack([lam1, hi + 3e-9], axis=1), A, B)
+    assert not ok.any()
+    assert np.isnan(t).all()
+
+
 def test_is_admissible_validates():
     # eigenvalue order does not matter: the pair is sorted internally
     assert is_admissible((1.45, 1.4), A, B) == is_admissible((1.4, 1.45), A, B)

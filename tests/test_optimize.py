@@ -1,7 +1,10 @@
+import weakref
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from coeffopt import optimize
+from coeffopt import fem, optimize
 from coeffopt.fem import SolverFailure, grad_norm_sq, solve_state
 from coeffopt.gclosure import eig_sym_2x2, lamination_means
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
@@ -254,8 +257,9 @@ def test_initial_coefficient_override():
 
 
 def _fail_first_trial(monkeypatch):
-    """Make the first warm-started solve (a line-search trial in both
-    drivers: the initial and first adjoint solves start cold) raise."""
+    """Make the first warm-started solve raise: a line-search trial in
+    both descents, since the initial solve starts cold and the
+    self-adjoint laminate run makes no adjoint solve."""
     real = optimize.solve_dirichlet
     failures = []
 
@@ -301,3 +305,116 @@ def test_failed_initial_solve_raises(monkeypatch, run):
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     with pytest.raises(SolverFailure):
         run()
+
+
+class _SolverLog:
+    """Records the solves, assemblies and V-cycle builds of a descent.
+
+    Matrices and V-cycles are held by weak reference only, so the log
+    sees exactly what the descent keeps alive.
+    """
+
+    def __init__(self, monkeypatch):
+        self.solves = []  # one _Solve per solve, in order
+        self.load = None  # the first solve's load: the descent's own
+        self.assembled = 0
+        self.live_at_assembly = []  # V-cycles alive as each assembly starts
+        self.builds = 0
+        self.state_matrices = []  # weak references
+        self.released = []
+        self.vcycles = []
+        solve, assemble = optimize.solve_dirichlet, fem.StiffnessAssembler.assemble
+        precond = fem.DirichletSolver.preconditioner
+        release = optimize.release_operators
+
+        def alive(refs, obj=None):
+            return [r for r in refs if r() is not None
+                    and (obj is None or r() is obj)]
+
+        def counting_solve(system, rtol=1e-10, x0=None):
+            if self.load is None:
+                self.load = system.rhs
+            K = system.matrix
+            rec = _Solve(state=system.rhs is self.load, warm=x0 is not None,
+                         reused=bool(alive(self.state_matrices, K)),
+                         released=bool(alive(self.released, K)),
+                         live_vcycles=len(alive(self.vcycles)))
+            before = self.builds
+            u = solve(system, rtol=rtol, x0=x0)
+            rec.builds = self.builds - before
+            if rec.state:
+                self.state_matrices.append(weakref.ref(K))
+            self.solves.append(rec)
+            return u
+
+        def counting_assemble(asm, coeff):
+            self.assembled += 1
+            self.live_at_assembly.append(len(alive(self.vcycles)))
+            return assemble(asm, coeff)
+
+        def counting_precond(solver, A):
+            self.builds += 1
+            M = precond(solver, A)
+            self.vcycles.append(weakref.ref(M))
+            return M
+
+        def counting_release(K):
+            self.released.append(weakref.ref(K))
+            release(K)
+
+        monkeypatch.setattr(optimize, "solve_dirichlet", counting_solve)
+        monkeypatch.setattr(fem.StiffnessAssembler, "assemble",
+                            counting_assemble)
+        monkeypatch.setattr(fem.DirichletSolver, "preconditioner",
+                            counting_precond)
+        monkeypatch.setattr(optimize, "release_operators", counting_release)
+
+
+@dataclass
+class _Solve:
+    state: bool  # the initial solve or a trial: the descent's load
+    warm: bool
+    reused: bool  # its matrix is one an earlier state solve used
+    released: bool  # ... and the descent freed that matrix's set-up
+    live_vcycles: int  # V-cycles alive as the solve starts
+    builds: int = 0  # V-cycles built during the solve
+
+
+def test_self_adjoint_run_solves_no_adjoint(monkeypatch):
+    log = _SolverLog(monkeypatch)
+    m = build_unit_disk_mesh(0.1)
+    t, A, u, p, rep = general_relaxed_optimize(
+        m, 1.0, LinearCost(1.0), 0.23539 ** 2, 1.0, 2.0)
+    assert p is u
+    trials = [s for s in log.solves if s.state and s.warm]
+    assert len(log.solves) == 1 + len(trials)
+    assert len(trials) >= rep.iterations > 0
+    # one assembly and one V-cycle per solved coefficient
+    assert log.assembled == log.builds == len(log.solves)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.15])
+def test_tilted_adjoint_reuses_the_accepted_operator(monkeypatch, h):
+    log = _SolverLog(monkeypatch)
+    m = build_unit_disk_mesh(h)
+    weight = 1.0 + 0.5 * m.vertices[:, 0]
+    rep = general_relaxed_optimize(m, 1.0, LinearCost(weight),
+                                   0.23539 ** 2, 1.0, 2.0)[4]
+    assert rep.converged
+    state = [s for s in log.solves if s.state]
+    adjoints = [s for s in log.solves if not s.state]
+    # one adjoint per iteration, plus the one paired with the final tensor
+    assert len(adjoints) == rep.iterations + 1
+    # adjoints assemble nothing: each solves with the matrix of an
+    # earlier state solve
+    assert log.assembled == len(state)
+    assert all(s.builds == 1 for s in state)
+    assert all(s.reused for s in adjoints)
+    # an adjoint rebuilds its V-cycle only when the descent freed it to
+    # try a fallback step and the set-aside trial then won
+    assert all(s.builds == int(s.released) for s in adjoints)
+    # one set-up alive at a time: a trial assembles and solves with no
+    # other V-cycle alive, an adjoint solves with at most its own
+    assert log.live_at_assembly == [0] * log.assembled
+    assert all(s.live_vcycles == 0 for s in state)
+    assert all(s.live_vcycles <= 1 for s in adjoints)
