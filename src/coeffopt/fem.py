@@ -38,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg
 
+from . import penalty as pen
 from .mesh import Mesh
 
 __all__ = [
@@ -526,11 +527,9 @@ def release_operators(matrix: sp.csr_matrix) -> None:
 
 
 def solve_state(mesh: Mesh, coeff, f, rtol: float = 1e-10,
-                x0: np.ndarray | None = None,
-                assembler: StiffnessAssembler | None = None) -> np.ndarray:
+                x0: np.ndarray | None = None) -> np.ndarray:
     """Assemble and solve -div(a grad u) = f, u = 0 on the boundary."""
-    asm = assembler if assembler is not None else StiffnessAssembler(mesh)
-    K = asm.assemble(coeff)
+    K = StiffnessAssembler(mesh).assemble(coeff)
     b = assemble_load(mesh, f)
     return solve_dirichlet(LinearSystem(K, b, mesh.boundary), rtol=rtol, x0=x0)
 
@@ -551,23 +550,20 @@ def compliance(mesh: Mesh, f, u: np.ndarray) -> float:
     return float(assemble_load(mesh, f) @ u)
 
 
-def cost_functional(mesh: Mesh, u: np.ndarray, coeff: np.ndarray, penalty,
-                    f, j_sign: float = 1.0) -> float:
-    """j_sign * int(f u) + int psi(a), with psi halved per penalty.half.
+def cost_functional(mesh: Mesh, load: np.ndarray, u: np.ndarray,
+                    coeff: np.ndarray, penalty) -> float:
+    """load . u + int psi(a), with psi halved per penalty.half.
 
-    The coefficient must stay inside the penalty domain; an out-of-range
-    cell makes the cost infinite and the evaluation aborts.
+    ``load`` is the assembled load vector of f, so the first term is
+    int f u.  The coefficient must stay inside the penalty domain; an
+    out-of-range cell makes the cost infinite and the evaluation aborts.
     """
-    from .penalty import psi_eval  # deferred: penalty imports nothing from fem
-
-    vals = psi_eval(penalty, np.asarray(coeff, dtype=float), strict=False)
+    vals = pen.psi_eval(penalty, np.asarray(coeff, dtype=float), strict=False)
     if not np.isfinite(vals).all():
         c = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise ValueError(
             f"infinite penalty cost: coefficient {coeff[c]!r} on cell {c} "
             "is outside the penalty domain"
         )
-    factor = 0.5 if getattr(penalty, "half", False) else 1.0
-    return j_sign * compliance(mesh, f, u) + factor * float(
-        mesh.cell_areas @ vals
-    )
+    factor = 0.5 if penalty.half else 1.0
+    return float(load @ u) + factor * float(mesh.cell_areas @ vals)

@@ -32,6 +32,10 @@ __all__ = [
 
 _NORM_FLOOR = np.sqrt(np.finfo(float).tiny)
 
+# unit gradients with a dot product within this of +1 (-1) are parallel
+# (antiparallel), in ``optimal_laminate`` and the laminate descent alike
+ALIGNMENT_TOL = 1e-9
+
 
 def _check_phases(alpha: float, beta: float):
     if not (0.0 < alpha < beta):
@@ -235,12 +239,12 @@ def optimal_laminate(grad_u, grad_p, mu, nu):
 
     Eigenvalue mu sits along the normalized bisector w1 + w2 of the unit
     gradients, nu along w1 - w2.  Degenerate cases: parallel gradients
-    put mu along the common direction (nu orthogonal), antiparallel
-    gradients put nu along it (mu orthogonal), and a vanishing gradient
-    yields the isotropic nu * I.  A gradient shorter than sqrt(tiny)
-    (about 1.5e-154) counts as vanishing: its squared components are
-    subnormal, so its computed norm is inexact and would not normalize
-    it.
+    (w1 . w2 within ALIGNMENT_TOL of 1) put mu along the common
+    direction (nu orthogonal), antiparallel ones (within it of -1) put
+    nu along it (mu orthogonal), and a vanishing gradient yields the
+    isotropic nu * I.  A gradient shorter than sqrt(tiny) (about
+    1.5e-154) counts as vanishing: its squared components are subnormal,
+    so its computed norm is inexact and would not normalize it.
 
     Accepts single vectors (shape (2,)) or stacks (n, 2); mu, nu may be
     scalars or arrays.  Returns tensors in (a11, a12, a22) storage.
@@ -263,8 +267,8 @@ def optimal_laminate(grad_u, grad_p, mu, nu):
     lam_perp = np.empty(n)
 
     degenerate_zero = ~ok
-    parallel = ok & (c >= 1.0 - 1e-12)
-    anti = ok & (c <= -1.0 + 1e-12)
+    parallel = ok & (c >= 1.0 - ALIGNMENT_TOL)
+    anti = ok & (c <= -1.0 + ALIGNMENT_TOL)
     generic = ok & ~parallel & ~anti
 
     bis = w1 + w2

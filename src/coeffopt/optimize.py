@@ -13,18 +13,20 @@ Three drivers share one report format:
   laminate from the state and adjoint gradients, folded in by a convex
   combination with a backtracked weight.
 
-Every accepted step strictly decreases the cost; runs stop on the
+Both descents step by one backtracking line search with simple
+decrease (``_backtrack``), in which a trial whose solve raises
+``SolverFailure`` or whose cost is not finite is a rejected step;
+failures of the initial, adjoint and final solves raise.  Every
+accepted step strictly decreases the cost; runs stop on the
 relative-change ratio |J_k - J_{k-1}| / |J_0| < tol, on a projection
 fixed point (stationarity), or - reported, not raised - on a stalled
-line search.  A line-search trial whose solve raises ``SolverFailure``
-or whose cost is not finite is a rejected step: the step halves and
-the halving counts against the budget.  Failures of the initial,
-adjoint and final solves still raise.
+line search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .fem import (
     solve_dirichlet,
 )
 from .gclosure import (
+    ALIGNMENT_TOL,
     clamp_spectrum,
     eig_sym_2x2,
     fraction_from_harmonic,
@@ -68,24 +71,20 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass
 class DescentConfig:
-    """Shared driver knobs.
+    """Stopping rule and initial design of a driver run.
 
-    step0 caps the dimensionless line-search multiplier (in (0, 1]);
-    scalar descent starts at 0.1*step0 against a direction normalized
-    to the coefficient scale, the relaxed scheme starts at step0.
+    tol is the relative-change stop, max_iters the iteration cap, and
+    a0 (scalar descent) and t0 (fraction of alpha) the initial design.
+    The line search has no settings (see ``_backtrack``); solves use
+    the ``solve_dirichlet`` tolerance.
     """
 
-    step0: float = 1.0
     tol: float = 1e-6
     max_iters: int = 2000
-    max_halvings: int = 30
     a0: float | np.ndarray | None = None
     t0: float = 0.5
-    solver_rtol: float = 1e-10
 
     def __post_init__(self):
-        if not (0.0 < self.step0 <= 1.0):
-            raise ValueError("step0 must lie in (0, 1]")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
@@ -124,23 +123,50 @@ class OptReport:
 class LinearCost:
     """Cost integrand j(x, s) = weight(x) * s (weight constant or nodal).
 
-    state_derivative passes the weight through unchanged so that a
-    scalar weight equal to a scalar load f gives an adjoint right-hand
-    side bit-identical to the load; ``general_relaxed_optimize`` then
-    takes the state itself as the adjoint (p is u) and makes no adjoint
-    solve.
+    ``load`` assembles the weight like a source term.  That vector is
+    both the cost (load . u) and the adjoint right-hand side, so
+    ``general_relaxed_optimize`` assembles it once per run.  A weight
+    equal to f gives the state load bit for bit; the descent then takes
+    the state itself as the adjoint (p is u) and makes no adjoint solve.
     """
 
     weight: float | np.ndarray = 1.0
 
-    def value(self, mesh: Mesh, u: np.ndarray) -> float:
-        return float(assemble_load(mesh, self.weight) @ u)
+    def load(self, mesh: Mesh) -> np.ndarray:
+        """The assembled weight; ValueError for a wrong-length nodal one."""
+        return assemble_load(mesh, self.weight)
 
-    def state_derivative(self, mesh: Mesh, u: np.ndarray):
-        w = np.asarray(self.weight, dtype=float)
-        if w.ndim == 1 and w.shape != (mesh.n_vertices,):
-            raise ValueError("nodal cost weight has the wrong length")
-        return self.weight
+
+# the line search's largest step multiplier and its trial budget
+_STEP_CAP = 1.0
+_MAX_TRIALS = 31
+
+
+def _backtrack(trial_at, J: float, step: float):
+    """Backtracking with simple decrease: the steps step, step/2, ...
+    until a trial strictly lowers the cost J, at most _MAX_TRIALS trials.
+
+    ``trial_at(step)`` returns None when the step does not move the
+    iterate, which ends the search, else (J_t, trial) with the trial's
+    state solved.  A ``SolverFailure`` or a non-finite J_t rejects the
+    step.  A rejected trial is dropped before the next is built, so no
+    two trials hold solver set-ups at once.  Returns (hit, moved): hit
+    is (step, J_t, trial) for the accepted trial or None, and moved is
+    False only when the search ended on a step that does not move the
+    iterate.
+    """
+    for _ in range(_MAX_TRIALS):
+        try:
+            out = trial_at(step)
+        except SolverFailure:
+            out = (np.nan, None)
+        if out is None:
+            return None, False
+        if np.isfinite(out[0]) and out[0] < J:
+            return (step, *out), True
+        out = None  # a rejected trial goes before the next is built
+        step *= 0.5
+    return None, True
 
 
 def _smoothed_cell_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -186,7 +212,10 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
 
     Returns (a, u, report).  The direction is |grad u|^2 - psi'(a)
     (times the half factor on psi when set); each trial is projected
-    onto the penalty domain before the solve.
+    onto the penalty domain before the solve.  The first step is 0.1
+    against a direction normalized to the coefficient scale; a trial
+    the projection maps back onto the iterate is a projection fixed
+    point (stationary on the active set): the run has converged.
     """
     config = config or DescentConfig()
     factor = 0.5 if spec.half else 1.0
@@ -195,21 +224,15 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
     ref = spec.beta if spec.is_box else None
 
     def solve(a, x0=None):
-        K = asm.assemble(a)
-        return solve_dirichlet(LinearSystem(K, load, mesh.boundary),
-                               rtol=config.solver_rtol, x0=x0)
-
-    def cost(a, u):
-        return float(load @ u) + factor * float(
-            mesh.cell_areas @ pen.psi_eval(spec, a)
-        )
+        K = asm.assemble(a)  # not kept past its solve
+        return solve_dirichlet(LinearSystem(K, load, mesh.boundary), x0=x0)
 
     a = _initial_coefficient(mesh, spec, config.a0)
     u = solve(a)
-    J = cost(a, u)
+    J = cost_functional(mesh, load, u, a, spec)
     report = OptReport(costs=[J])
     j0 = max(abs(J), 1e-300)
-    eps = 0.1 * config.step0
+    eps = 0.1 * _STEP_CAP
 
     for _ in range(config.max_iters):
         gsq = grad_norm_sq(mesh, u)
@@ -220,38 +243,26 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
             break
         scale = (ref if ref is not None else max(1.0, float(a.max()))) / dmax
 
-        accepted = False
-        fixed_point = False
-        for _ in range(config.max_halvings + 1):
-            trial = pen.project_to_domain(spec, a + eps * scale * dirn)
+        def trial_at(step):
+            trial = pen.project_to_domain(spec, a + step * scale * dirn)
             if np.array_equal(trial, a):
-                # projection fixed point: stationary on the active set,
-                # independent of the step size
-                fixed_point = True
-                break
-            try:
-                u_t = solve(trial, x0=u)
-            except SolverFailure:
-                J_t = np.nan
-            else:
-                J_t = cost(trial, u_t)
-            if np.isfinite(J_t) and J_t < J:
-                accepted = True
-                break
-            eps *= 0.5
-        if fixed_point:
-            report.converged = True
-            break
-        if not accepted:
-            report.stagnated = True
+                return None
+            u_t = solve(trial, x0=u)
+            return cost_functional(mesh, load, u_t, trial, spec), (trial, u_t)
+
+        hit, moved = _backtrack(trial_at, J, eps)
+        if hit is None:
+            # unmoved: a projection fixed point; else the budget ran out
+            report.converged, report.stagnated = not moved, moved
             break
 
+        eps, J_t, (a_t, u_t) = hit
         ratio = abs(J_t - J) / j0
-        a, u, J = trial, u_t, J_t
+        a, u, J = a_t, u_t, J_t
         report.costs.append(J)
         report.steps.append(eps)
         report.ratios.append(ratio)
-        eps = min(2.0 * eps, config.step0)
+        eps = min(2.0 * eps, _STEP_CAP)
         if ratio < config.tol:
             report.converged = True
             break
@@ -289,8 +300,7 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
         mu, nu = lamination_means(t, alpha, beta)
         # the matrix is not kept past its solve, nor its solver set-up
         u = solve_dirichlet(
-            LinearSystem(asm.assemble(nu), load, mesh.boundary),
-            rtol=config.solver_rtol, x0=u)
+            LinearSystem(asm.assemble(nu), load, mesh.boundary), x0=u)
         gsq = grad_norm_sq(mesh, u)
         J = 0.5 * float((mesh.cell_areas * nu) @ gsq) - float(load @ u) \
             + 0.5 * gamma * float(mesh.cell_areas @ (beta - mu))
@@ -374,6 +384,9 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     config = config or DescentConfig()
     asm = StiffnessAssembler(mesh)
     load = assemble_load(mesh, f)
+    # the cost weight w: the cost is w . u and the adjoint solves K p = w
+    weight = cost.load(mesh)
+    self_adjoint = np.array_equal(weight, load)
     g = np.asarray(g_field, dtype=float)
     if g.ndim == 0:
         g = np.full(mesh.n_cells, float(g))
@@ -381,18 +394,16 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
         raise ValueError(f"g_field must be scalar or shape ({mesh.n_cells},)")
 
     def solve(K, rhs, x0=None):
-        return solve_dirichlet(LinearSystem(K, rhs, mesh.boundary),
-                               rtol=config.solver_rtol, x0=x0)
+        return solve_dirichlet(LinearSystem(K, rhs, mesh.boundary), x0=x0)
 
     def adjoint(K, A, u, p):
         # K: the assembled matrix of A, or None when none was kept
-        rhs = assemble_load(mesh, cost.state_derivative(mesh, u))
-        if np.array_equal(rhs, load):
+        if self_adjoint:
             return u
-        return solve(K if K is not None else asm.assemble(A), rhs, x0=p)
+        return solve(K if K is not None else asm.assemble(A), weight, x0=p)
 
     def total_cost(u, mu):
-        return cost.value(mesh, u) + float(mesh.cell_areas @ (g * mu))
+        return float(weight @ u) + float(mesh.cell_areas @ (g * mu))
 
     def tensor_from_iso(vals):
         out = np.zeros((mesh.n_cells, 3))
@@ -410,8 +421,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     j0 = max(abs(J), 1e-300)
     p = None
 
-    eps0 = float(config.step0)
-    eps = eps0
+    eps = _STEP_CAP
     for _ in range(config.max_iters):
         p = adjoint(K, A, u, p)
         K = None  # freed before the trial solves build their own
@@ -434,7 +444,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
         dot_raw = gu[:, 0] * gp[:, 0] + gu[:, 1] * gp[:, 1]
         cos_raw = np.divide(dot_raw, prod,
                             out=np.zeros_like(prod), where=prod > 0.0)
-        aligned = np.abs(cos_raw) >= 1.0 - 1e-9
+        aligned = np.abs(cos_raw) >= 1.0 - ALIGNMENT_TOL
         still = prod == 0.0
 
         def hamiltonian_argmax(mu_b, nu_b):
@@ -452,26 +462,16 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
                                             mu_b[still])
             return clamp_spectrum(tgt, nu_b, mu_b)
 
-        def attempt(t_tgt, a_tgt, eps_try):
-            for _ in range(config.max_halvings + 1):
-                t_new = t + eps_try * (t_tgt - t)
-                a_new = A + eps_try * (a_tgt - A)
-                mu_n, nu_n = lamination_means(t_new, alpha, beta)
-                a_new = clamp_spectrum(a_new, nu_n, mu_n)
-                if np.array_equal(t_new, t) and np.array_equal(a_new, A):
-                    return None  # too small to move the iterate
-                K_t = asm.assemble(a_new)
-                try:
-                    u_t = solve(K_t, load, x0=u)
-                except SolverFailure:
-                    J_t = np.nan
-                else:
-                    J_t = total_cost(u_t, mu_n)
-                if np.isfinite(J_t) and J_t < J:
-                    return t_new, a_new, mu_n, nu_n, u_t, J_t, eps_try, K_t
-                K_t = None  # a rejected trial's set-up goes before the next
-                eps_try *= 0.5
-            return None
+        def trial_at(t_tgt, a_tgt, step):
+            t_new = t + step * (t_tgt - t)
+            a_new = A + step * (a_tgt - A)
+            mu_n, nu_n = lamination_means(t_new, alpha, beta)
+            a_new = clamp_spectrum(a_new, nu_n, mu_n)
+            if np.array_equal(t_new, t) and np.array_equal(a_new, A):
+                return None
+            K_t = asm.assemble(a_new)
+            u_t = solve(K_t, load, x0=u)
+            return total_cost(u_t, mu_n), (t_new, a_new, mu_n, nu_n, u_t, K_t)
 
         a_hat = hamiltonian_argmax(mu_h, nu_h)
         mu_c, nu_c = lamination_means(t, alpha, beta)
@@ -482,23 +482,23 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
             report.converged = True
             break
 
-        hit = attempt(t_hat, a_hat, eps)
+        hit, _ = _backtrack(partial(trial_at, t_hat, a_hat), J, eps)
         used_fallback = False
-        if hit is None or abs(hit[5] - J) / j0 < config.tol:
+        if hit is None or abs(hit[1] - J) / j0 < config.tol:
             # fraction update blocked or exhausted; a move toward the
             # Hamiltonian maximizer inside the current box still
             # descends and realizes the laminate at fixed fraction
             if hit is not None:
-                release_operators(hit[-1])  # one set-up alive at a time
-            alt = attempt(t, a_box, eps0)
-            if alt is not None and (hit is None or alt[5] < hit[5]):
+                release_operators(hit[2][-1])  # one set-up alive at a time
+            alt, _ = _backtrack(partial(trial_at, t, a_box), J, _STEP_CAP)
+            if alt is not None and (hit is None or alt[1] < hit[1]):
                 hit = alt
                 used_fallback = True
             del alt
         if hit is None:
             report.stagnated = True
             break
-        t_new, a_new, mu_n, nu_n, u_t, J_t, eps_used, K = hit
+        eps_used, J_t, (t_new, a_new, mu_n, nu_n, u_t, K) = hit
         del hit  # K alone holds the accepted set-up, until the adjoint
 
         lam1, lam2, _, _ = eig_sym_2x2(a_new)
@@ -515,7 +515,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
             report.converged = True
             break
         if not used_fallback:
-            eps = min(2.0 * eps_used, eps0)
+            eps = min(2.0 * eps_used, _STEP_CAP)
 
     # the loop's adjoint lags one accepted update; pair it with the
     # final tensor
@@ -545,6 +545,9 @@ def gradient_check(mesh: Mesh, f, spec: pen.PenaltySpec, a: np.ndarray,
         return solve_dirichlet(LinearSystem(K, load, mesh.boundary),
                                rtol=solver_rtol)
 
+    def cost(coeff):
+        return cost_functional(mesh, load, solve(coeff), coeff, spec)
+
     a = np.asarray(a, dtype=float)
     direction = np.asarray(direction, dtype=float)
     u = solve(a)
@@ -552,10 +555,6 @@ def gradient_check(mesh: Mesh, f, spec: pen.PenaltySpec, a: np.ndarray,
     analytic = float(
         mesh.cell_areas @ (direction * (factor * pen.psi_prime(spec, a) - gsq))
     )
-    J_plus = cost_functional(mesh, solve(a + h * direction), a + h * direction,
-                             spec, f)
-    J_minus = cost_functional(mesh, solve(a - h * direction),
-                              a - h * direction, spec, f)
-    fd = (J_plus - J_minus) / (2.0 * h)
+    fd = (cost(a + h * direction) - cost(a - h * direction)) / (2.0 * h)
     rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-300)
     return analytic, fd, rel

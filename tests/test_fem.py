@@ -210,8 +210,9 @@ def test_cost_functional_half_flag():
     m = build_unit_square_mesh(4)
     a = np.full(m.n_cells, 1.5)
     u = solve_state(m, a, 1.0)
-    full = cost_functional(m, u, a, PenaltySpec("quadratic"), 1.0)
-    half = cost_functional(m, u, a, PenaltySpec("quadratic", half=True), 1.0)
+    load = assemble_load(m, 1.0)
+    full = cost_functional(m, load, u, a, PenaltySpec("quadratic"))
+    half = cost_functional(m, load, u, a, PenaltySpec("quadratic", half=True))
     c = compliance(m, 1.0, u)
     assert abs((full - c) - 2.0 * (half - c)) < 1e-14
 
@@ -222,7 +223,7 @@ def test_cost_functional_rejects_out_of_domain():
     u = np.zeros(m.n_vertices)
     spec = PenaltySpec("linear-box", alpha=1.0, beta=2.0, gamma=0.1)
     with pytest.raises(ValueError):
-        cost_functional(m, u, a, spec, 1.0)
+        cost_functional(m, assemble_load(m, 1.0), u, a, spec)
 
 
 def test_solve_deterministic():
