@@ -178,7 +178,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         raise ValueError("h must lie in (0, 1)")
     if not (0.0 < settings["alpha"] < settings["beta"]):
         raise ValueError("need 0 < alpha < beta")
-    if settings["tol"] <= 0.0:
+    if not (settings["tol"] > 0.0):
         raise ValueError("tol must be positive")
     if settings["max_iters"] < 1:
         raise ValueError("max_iters must be at least 1")
@@ -191,7 +191,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     if needs_gamma:
         if settings["gamma"] is None:
             raise ValueError(f"{exp} needs gamma")
-        if settings["gamma"] <= 0.0:
+        if not (settings["gamma"] > 0.0):
             raise ValueError("gamma must be positive")
     if exp == "general-relaxed" and not (0.0 < settings["tau"] < 0.5):
         raise ValueError("general-relaxed needs 0 < tau < 0.5")

@@ -33,7 +33,7 @@ __all__ = [
 _NORM_FLOOR = np.sqrt(np.finfo(float).tiny)
 
 # unit gradients with a dot product within this of +1 (-1) are parallel
-# (antiparallel), in ``optimal_laminate`` and the laminate descent alike
+# (antiparallel) in ``optimal_laminate``
 ALIGNMENT_TOL = 1e-9
 
 
@@ -46,14 +46,17 @@ def _check_phases(alpha: float, beta: float):
 def lamination_means(t, alpha: float, beta: float):
     """(mu_t, nu_t): arithmetic and harmonic means at fraction t of alpha.
 
-    The pair always satisfies mu_t + alpha*beta/nu_t = alpha + beta.
+    The pair satisfies mu_t + alpha*beta/nu_t = alpha + beta up to
+    rounding, and nu_t <= mu_t exactly: at a pure phase the harmonic
+    quotient can round one ulp past the phase value, so nu_t is capped
+    by mu_t.
     """
     _check_phases(alpha, beta)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("volume fraction t must lie in [0, 1]")
     mu = t * alpha + (1.0 - t) * beta
-    nu = alpha * beta / (t * beta + (1.0 - t) * alpha)
+    nu = np.minimum(alpha * beta / (t * beta + (1.0 - t) * alpha), mu)
     if mu.ndim == 0:
         return float(mu), float(nu)
     return mu, nu
@@ -235,66 +238,49 @@ def clamp_spectrum(tcols: np.ndarray, lo, hi):
 
 
 def optimal_laminate(grad_u, grad_p, mu, nu):
-    """Rank-one laminate tensor aligned with the state/adjoint gradients.
+    """Maximizer of A grad_u . grad_p over the box nu <= spec(A) <= mu.
 
-    Eigenvalue mu sits along the normalized bisector w1 + w2 of the unit
-    gradients, nu along w1 - w2.  Degenerate cases: parallel gradients
-    (w1 . w2 within ALIGNMENT_TOL of 1) put mu along the common
-    direction (nu orthogonal), antiparallel ones (within it of -1) put
-    nu along it (mu orthogonal), and a vanishing gradient yields the
-    isotropic nu * I.  A gradient shorter than sqrt(tiny) (about
-    1.5e-154) counts as vanishing: its squared components are subnormal,
-    so its computed norm is inexact and would not normalize it.
+    Generic gradients get the rank-one laminate with eigenvalue mu
+    along the normalized bisector w1 + w2 of the unit gradients and nu
+    along w1 - w2.  Where the box pins only the eigenvalue along the
+    gradients the free one is completed isotropically: parallel
+    gradients (w1 . w2 within ALIGNMENT_TOL of 1) give mu I,
+    antiparallel ones (within it of -1) nu I.  A vanishing gradient
+    gives nu I; a gradient shorter than sqrt(tiny) (about 1.5e-154)
+    counts as vanishing: its squared components are subnormal, so its
+    computed norm is inexact and would not normalize it.
 
-    Accepts single vectors (shape (2,)) or stacks (n, 2); mu, nu may be
-    scalars or arrays.  Returns tensors in (a11, a12, a22) storage.
+    Gradients are single vectors (shape (2,)) or stacks (..., 2); mu
+    and nu broadcast against their leading shape and may carry extra
+    leading axes, such as one box per slice: the gradient geometry is
+    computed once for all of them.  Returns tensors in (a11, a12, a22)
+    storage, shape broadcast(leading shapes of the inputs) + (3,).
     """
-    gu = np.atleast_2d(np.asarray(grad_u, dtype=float))
-    gp = np.atleast_2d(np.asarray(grad_p, dtype=float))
-    single = np.asarray(grad_u).ndim == 1
-    n = gu.shape[0]
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,))
-    nu = np.broadcast_to(np.asarray(nu, dtype=float), (n,))
-    nu_norm = np.linalg.norm(gu, axis=1)
-    np_norm = np.linalg.norm(gp, axis=1)
+    gu = np.asarray(grad_u, dtype=float)
+    gp = np.asarray(grad_p, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    nu_norm = np.linalg.norm(gu, axis=-1)
+    np_norm = np.linalg.norm(gp, axis=-1)
     ok = (nu_norm >= _NORM_FLOOR) & (np_norm >= _NORM_FLOOR)
-    w1 = np.where(ok[:, None], gu / np.where(ok, nu_norm, 1.0)[:, None], 0.0)
-    w2 = np.where(ok[:, None], gp / np.where(ok, np_norm, 1.0)[:, None], 0.0)
-    c = (w1 * w2).sum(axis=1)
-
-    axis = np.zeros_like(w1)
-    lam_axis = np.empty(n)
-    lam_perp = np.empty(n)
-
-    degenerate_zero = ~ok
-    parallel = ok & (c >= 1.0 - ALIGNMENT_TOL)
-    anti = ok & (c <= -1.0 + ALIGNMENT_TOL)
-    generic = ok & ~parallel & ~anti
+    w1 = np.where(ok[..., None], gu / np.where(ok, nu_norm, 1.0)[..., None],
+                  0.0)
+    w2 = np.where(ok[..., None], gp / np.where(ok, np_norm, 1.0)[..., None],
+                  0.0)
+    c = (w1 * w2).sum(axis=-1)
+    generic = ok & (np.abs(c) < 1.0 - ALIGNMENT_TOL)
+    # parallel: mu I; antiparallel or vanishing: nu I
+    iso = np.where(ok & (c > 0.0), mu, nu)
 
     bis = w1 + w2
-    bn = np.linalg.norm(bis, axis=1)
-    bn_safe = np.where(bn > 0.0, bn, 1.0)
-    axis[generic] = (bis / bn_safe[:, None])[generic]
-    lam_axis[generic] = mu[generic]
-    lam_perp[generic] = nu[generic]
-
-    axis[parallel] = w1[parallel]
-    lam_axis[parallel] = mu[parallel]
-    lam_perp[parallel] = nu[parallel]
-
-    axis[anti] = w1[anti]
-    lam_axis[anti] = nu[anti]
-    lam_perp[anti] = mu[anti]
-
-    ex, ey = axis[:, 0], axis[:, 1]
-    out = np.empty((n, 3))
-    out[:, 0] = lam_axis * ex * ex + lam_perp * ey * ey
-    out[:, 1] = (lam_axis - lam_perp) * ex * ey
-    out[:, 2] = lam_axis * ey * ey + lam_perp * ex * ex
-    out[degenerate_zero, 0] = nu[degenerate_zero]
-    out[degenerate_zero, 1] = 0.0
-    out[degenerate_zero, 2] = nu[degenerate_zero]
-    return out[0] if single else out
+    bn = np.linalg.norm(bis, axis=-1)
+    axis = bis / np.where(generic, bn, 1.0)[..., None]
+    ex, ey = axis[..., 0], axis[..., 1]
+    out = np.empty(np.broadcast_shapes(mu.shape, nu.shape, ok.shape) + (3,))
+    out[..., 0] = np.where(generic, mu * ex * ex + nu * ey * ey, iso)
+    out[..., 1] = np.where(generic, (mu - nu) * ex * ey, 0.0)
+    out[..., 2] = np.where(generic, mu * ey * ey + nu * ex * ex, iso)
+    return out
 
 
 def optimal_t(n_plus, n_minus, g, alpha: float, beta: float):

@@ -43,7 +43,6 @@ from .fem import (
     solve_dirichlet,
 )
 from .gclosure import (
-    ALIGNMENT_TOL,
     clamp_spectrum,
     eig_sym_2x2,
     fraction_from_harmonic,
@@ -85,7 +84,7 @@ class DescentConfig:
     t0: float = 0.5
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -284,7 +283,7 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     affine-box recovery from the final gradients.
     """
     config = config or DescentConfig()
-    if gamma <= 0.0:
+    if not (gamma > 0.0):
         raise ValueError("gamma must be positive")
     spec_eff = pen.PenaltySpec("affine-box", alpha=alpha, beta=beta,
                                gamma=gamma, half=True)
@@ -353,17 +352,22 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     carry an alternating mesh mode that the bang-bang rule would
     amplify into a checkerboard (on these meshes the chattered field
     has strictly lower discrete cost, so a line search alone cannot
-    reject it).  Where the raw gradients are parallel or antiparallel
-    the optimality conditions pin only the eigenvalue along them, so
-    the free one is completed isotropically (mu I, respectively nu I):
-    the cost cannot distinguish the completions, and the isotropic one
-    is the relaxed solution of the self-adjoint case.  Finally, when
-    the combined update is blocked by the flatness, the driver falls
-    back to moving A alone toward the Hamiltonian maximizer inside the
-    current box [nu_t I, mu_t I], a first-order descent direction at
-    fixed fraction; that step is what realizes the laminate on cells
-    whose state and adjoint gradients genuinely disagree.  Laminate
-    axes always come from the raw gradients.  Returns
+    reject it).  The laminate target is the Hamiltonian maximizer of
+    ``optimal_laminate``, one call for both boxes below: where the raw
+    gradients are parallel or antiparallel the optimality conditions
+    pin only the eigenvalue along them, and the free one is completed
+    isotropically (mu I, respectively nu I), since the cost cannot
+    distinguish the completions and the isotropic one is the relaxed
+    solution of the self-adjoint case; where a raw gradient vanishes
+    the target is nu I (in practice a cell whose vertices all carry
+    Dirichlet values, whose tensor enters neither u nor the cost).
+    Finally, when the combined update is blocked by the flatness, the
+    driver falls back to moving A alone toward the Hamiltonian
+    maximizer inside the current box [nu_t I, mu_t I], a first-order
+    descent direction at fixed fraction; that step is what realizes
+    the laminate on cells whose state and adjoint gradients genuinely
+    disagree.  Laminate axes always come from the raw gradients.
+    Returns
     (t, A, u, p, report); A in (a11, a12, a22) column storage.
 
     Each coefficient costs one solver set-up.  When the adjoint load
@@ -440,28 +444,6 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
         t_hat = optimal_t(n_plus, n_minus, g, alpha, beta)
         mu_h, nu_h = lamination_means(t_hat, alpha, beta)
 
-        prod = np.hypot(gu[:, 0], gu[:, 1]) * np.hypot(gp[:, 0], gp[:, 1])
-        dot_raw = gu[:, 0] * gp[:, 0] + gu[:, 1] * gp[:, 1]
-        cos_raw = np.divide(dot_raw, prod,
-                            out=np.zeros_like(prod), where=prod > 0.0)
-        aligned = np.abs(cos_raw) >= 1.0 - ALIGNMENT_TOL
-        still = prod == 0.0
-
-        def hamiltonian_argmax(mu_b, nu_b):
-            # pointwise maximizer of A grad u . grad p over the box;
-            # aligned raw gradients pin only the eigenvalue along them,
-            # so the free one is completed isotropically, and cells with
-            # a vanishing gradient are left where they are
-            tgt = optimal_laminate(gu, gp, mu_b, nu_b)
-            iso = np.where(cos_raw >= 0.0, mu_b, nu_b)
-            tgt[aligned, 0] = iso[aligned]
-            tgt[aligned, 1] = 0.0
-            tgt[aligned, 2] = iso[aligned]
-            if np.any(still):
-                tgt[still] = clamp_spectrum(A[still], nu_b[still],
-                                            mu_b[still])
-            return clamp_spectrum(tgt, nu_b, mu_b)
-
         def trial_at(t_tgt, a_tgt, step):
             t_new = t + step * (t_tgt - t)
             a_new = A + step * (a_tgt - A)
@@ -473,9 +455,12 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
             u_t = solve(K_t, load, x0=u)
             return total_cost(u_t, mu_n), (t_new, a_new, mu_n, nu_n, u_t, K_t)
 
-        a_hat = hamiltonian_argmax(mu_h, nu_h)
+        # the Hamiltonian maximizers over the fraction target's box and
+        # over the current box, from one pass over the gradients
         mu_c, nu_c = lamination_means(t, alpha, beta)
-        a_box = hamiltonian_argmax(mu_c, nu_c)
+        mu_b, nu_b = np.stack([mu_h, mu_c]), np.stack([nu_h, nu_c])
+        a_hat, a_box = clamp_spectrum(optimal_laminate(gu, gp, mu_b, nu_b),
+                                      nu_b, mu_b)
         if np.array_equal(t_hat, t) and np.array_equal(a_hat, A) \
                 and np.array_equal(a_box, A):
             # pointwise optimality conditions hold exactly

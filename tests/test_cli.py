@@ -75,8 +75,10 @@ def test_validation_errors():
         ["--h", "0"],
         ["--alpha", "3.0"],  # alpha >= beta
         ["--tol", "0"],
+        ["--tol", "nan"],
         ["--max-iters", "0"],
         ["--experiment", "compliance-twophase", "--gamma", "-1"],
+        ["--experiment", "compliance-twophase", "--gamma", "nan"],
         ["--experiment", "general-relaxed", "--tau", "0.6"],
         ["--experiment", "custom", "--penalty", "linear-box"],  # no gamma
     ):
@@ -141,10 +143,12 @@ def test_main_general_summary(tmp_path):
 
 
 def test_main_bad_settings_exit_2(tmp_path, capsys):
-    rc = main(["--n", "0", "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "summary.txt").exists()
+    for argv in (["--n", "0"], ["--tol", "nan"],
+                 ["--experiment", "compliance-twophase", "--gamma", "nan"]):
+        rc = main(argv + ["--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
 
 
 def test_main_unknown_flag_exit_2():

@@ -188,3 +188,34 @@ def test_optimal_laminate_admissible(gu, gp, t, ab):
     lam1, lam2, _, _ = eig_sym_2x2(out)
     assert nu - 1e-12 * beta <= lam1 <= lam2 <= mu + 1e-12 * beta
     assert is_admissible((lam1, lam2), alpha, beta)[0]
+
+
+@st.composite
+def gradient_stacks(draw):
+    """n gradient pairs, some made parallel, antiparallel or vanishing,
+    and a fraction per cell for each of two boxes."""
+    n = draw(st.integers(1, 6))
+    gu = np.array(draw(st.lists(vec, min_size=n, max_size=n)))
+    gp = np.array(draw(st.lists(vec, min_size=n, max_size=n)))
+    scale = draw(st.lists(st.sampled_from([None, 3.0, -0.5, 0.0]),
+                          min_size=n, max_size=n))
+    for i, k in enumerate(scale):
+        if k is not None:
+            gp[i] = k * gu[i]
+    t = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n)))
+    return gu, gp, t.reshape(2, n)
+
+
+@SETTINGS
+@given(gradient_stacks(), phases())
+def test_optimal_laminate_stacked_boxes_match_separate_calls(case, ab):
+    gu, gp, t = case
+    mu, nu = lamination_means(t, *ab)
+    out = optimal_laminate(gu, gp, mu, nu)
+    assert out.shape == (2, len(gu), 3)
+    for k in range(2):
+        alone = optimal_laminate(gu, gp, mu[k], nu[k])
+        assert out[k].tobytes() == alone.tobytes()
+    # one gradient pair against a stack of boxes
+    one = optimal_laminate(gu[0], gp[0], mu[:, 0], nu[:, 0])
+    assert one.tobytes() == out[:, 0].tobytes()

@@ -25,6 +25,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DescentConfig(tol=0.0)
     with pytest.raises(ValueError):
+        DescentConfig(tol=float("nan"))
+    with pytest.raises(ValueError):
         DescentConfig(max_iters=0)
     with pytest.raises(ValueError):
         DescentConfig(t0=-0.1)
@@ -175,6 +177,8 @@ def test_energy_rejects_bad_gamma():
     m = build_unit_square_mesh(4)
     with pytest.raises(ValueError):
         energy_relaxed_solve(m, 1.0, 1.0, 2.0, 0.0)
+    with pytest.raises(ValueError):
+        energy_relaxed_solve(m, 1.0, 1.0, 2.0, float("nan"))
 
 
 def test_general_layered_self_adjoint():
@@ -212,6 +216,21 @@ def test_general_feasibility_invariants():
     assert np.all(lam2 <= mu + 1e-10)
     assert np.all(np.diff(rep.costs) < 0.0)
     assert rep.converged or rep.stagnated or rep.iterations == 2000
+
+
+def test_general_phases_where_means_round_past_a_phase():
+    # at (0.2, 0.4) the harmonic mean of a pure phase rounds one ulp
+    # above the arithmetic one unless lamination_means caps it
+    m = build_unit_disk_mesh(0.1)
+    t, A, u, p, rep = general_relaxed_optimize(
+        m, 1.0, LinearCost(1.0), 0.23539 ** 2, 0.2, 0.4)
+    assert rep.iterations > 0 and not rep.stagnated
+    assert np.all(np.diff(rep.costs) < 0.0)
+    assert np.all(t >= 0.0) and np.all(t <= 1.0)
+    mu, nu = lamination_means(t, 0.2, 0.4)
+    lam1, lam2, _, _ = eig_sym_2x2(A)
+    assert np.all(lam1 >= nu - 1e-10)
+    assert np.all(lam2 <= mu + 1e-10)
 
 
 def test_general_deterministic():
