@@ -113,6 +113,13 @@ def _as_tensor_columns(mesh: Mesh, coeff: np.ndarray) -> np.ndarray:
 # the three mirrored ones, which reuse the upper values
 _LOCAL_I = np.array([0, 1, 2, 0, 0, 1, 1, 2, 2])
 _LOCAL_J = np.array([0, 1, 2, 1, 2, 2, 0, 0, 1])
+# the six upper entries grouped by first vertex i: (i, ((j, column), ...))
+_UPPER_BY_FIRST = tuple(
+    (i, tuple((int(_LOCAL_J[k]), k) for k in range(6) if _LOCAL_I[k] == i))
+    for i in range(3)
+)
+# cells per block of the local-entry kernel: its work vectors fit in cache
+_CELL_BLOCK = 4096
 
 
 class StiffnessAssembler:
@@ -161,14 +168,33 @@ class StiffnessAssembler:
         mesh = self.mesh
         cols = _as_tensor_columns(mesh, coeff)
         g = mesh.cell_basis_gradients
-        a11, a12, a22 = cols[:, 0], cols[:, 1], cols[:, 2]
-        loc = np.empty((mesh.n_cells, 9))
-        for k, (i, j) in enumerate(zip(_LOCAL_I[:6], _LOCAL_J[:6])):
-            gi, gj = g[:, i], g[:, j]
-            loc[:, k] = ((a11 * gi[:, 0] + a12 * gi[:, 1]) * gj[:, 0]
-                         + (a12 * gi[:, 0] + a22 * gi[:, 1]) * gj[:, 1])
-        loc[:, :6] *= mesh.cell_areas[:, None]
-        loc[:, 6:] = loc[:, 3:6]
+        nt = mesh.n_cells
+        loc = np.empty((nt, 9))
+        # entry (i, j) is area (a g_i) . g_j.  The upper entries are
+        # grouped by their first vertex so the flux a g_i is formed once
+        # per i, and only one flux is alive at a time.  Each entry keeps
+        # the order ((a11 gx_i + a12 gy_i) gx_j + (a12 gx_i + a22 gy_i)
+        # gy_j) area: reassociating it changes the last bits of the
+        # matrix and so every iterate downstream.  Cells go in blocks so
+        # the four work vectors stay in cache and off the heap's peak.
+        work = np.empty((4, min(nt, _CELL_BLOCK)))
+        for start in range(0, nt, _CELL_BLOCK):
+            cells = slice(start, start + _CELL_BLOCK)
+            gc, areas = g[cells], mesh.cell_areas[cells]
+            a11, a12, a22 = cols[cells].T
+            fx, fy, entry, prod = work[:, :areas.size]
+            for i, pairs in _UPPER_BY_FIRST:
+                gx, gy = gc[:, i, 0], gc[:, i, 1]
+                np.multiply(a11, gx, out=fx)
+                fx += np.multiply(a12, gy, out=prod)
+                np.multiply(a12, gx, out=fy)
+                fy += np.multiply(a22, gy, out=prod)
+                for j, k in pairs:
+                    np.multiply(fx, gc[:, j, 0], out=entry)
+                    entry += np.multiply(fy, gc[:, j, 1], out=prod)
+                    entry *= areas
+                    loc[cells, k] = entry
+            loc[cells, 6:] = loc[cells, 3:6]
         # cell-major order: both slots of an entry sum the same values in
         # the same order
         vals = np.bincount(self._slots, weights=loc.ravel(),

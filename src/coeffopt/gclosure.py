@@ -53,7 +53,7 @@ def lamination_means(t, alpha: float, beta: float):
     """
     _check_phases(alpha, beta)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("volume fraction t must lie in [0, 1]")
     mu = t * alpha + (1.0 - t) * beta
     nu = np.minimum(alpha * beta / (t * beta + (1.0 - t) * alpha), mu)
@@ -302,7 +302,7 @@ def optimal_t(n_plus, n_minus, g, alpha: float, beta: float):
     n_plus = np.asarray(n_plus, dtype=float)
     n_minus = np.asarray(n_minus, dtype=float)
     g = np.asarray(g, dtype=float)
-    if np.any(n_plus < -1e-15) or np.any(n_minus < -1e-15):
+    if not (np.all(n_plus >= -1e-15) and np.all(n_minus >= -1e-15)):
         raise ValueError("N+ and N- must be nonnegative")
     n_plus = np.maximum(n_plus, 0.0)
     n_minus = np.maximum(n_minus, 0.0)

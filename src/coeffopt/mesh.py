@@ -148,28 +148,28 @@ def build_unit_square_mesh(n: int) -> Mesh:
     n : int
         Subdivisions per side, n >= 1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+            or n < 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     n = int(n)
     coords = np.arange(n + 1) / n
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-            else:
-                tris.append((v00, v10, v01))
-                tris.append((v10, v11, v01))
-    triangles = np.array(tris, dtype=np.int64)
+    # quad (i, j) in row-major order owns rows 2q and 2q + 1 of the
+    # triangle array; its lower-left vertex is j (n + 1) + i
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = j * (n + 1) + i
+    v01 = v00 + (n + 1)
+    even = (i + j) % 2 == 0
+    triangles = np.empty((n * n, 2, 3), dtype=np.int64)
+    triangles[:, 0, 0] = v00
+    triangles[:, 0, 1] = v00 + 1
+    triangles[:, 0, 2] = np.where(even, v01 + 1, v01)
+    triangles[:, 1, 0] = np.where(even, v00, v00 + 1)
+    triangles[:, 1, 1] = v01 + 1
+    triangles[:, 1, 2] = v01
+    triangles = triangles.reshape(-1, 3)
 
     i_idx = np.tile(np.arange(n + 1), n + 1)
     j_idx = np.repeat(np.arange(n + 1), n + 1)
@@ -195,57 +195,61 @@ def build_unit_disk_mesh(h: float) -> Mesh:
         raise ValueError(f"h must lie in (0, 1), got {h!r}")
     n = max(1, math.ceil(1.0 / h))
 
-    verts = [(0.0, 0.0)]
+    rings = [np.zeros((1, 2))]
     for k in range(1, n + 1):
         m = 6 * k
         r = k / n
         ang = 2.0 * np.pi * np.arange(m) / m
-        ring = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-        verts.extend(map(tuple, ring))
-    vertices = np.array(verts)
+        rings.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
+    vertices = np.concatenate(rings)
 
     def ring_start(k):
         # center is vertex 0; ring k >= 1 starts after 6*(1+...+(k-1))
         return 1 + 3 * k * (k - 1)
 
-    tris = []
     # innermost fan around the center vertex
     s1 = ring_start(1)
-    for j in range(6):
-        tris.append((0, s1 + j, s1 + (j + 1) % 6))
-    # annulus strips, six sectors each, merged by azimuthal position
+    fan = np.arange(6, dtype=np.int64)
+    strips = [np.column_stack([np.zeros(6, dtype=np.int64), s1 + fan,
+                               s1 + (fan + 1) % 6])]
+    # annulus strip between rings k-1 and k: one triangle per step along
+    # either ring, always advancing the ring whose next vertex trails in
+    # angle.  Outer step q ends at angle (q+1)/(6k), inner step r at
+    # (r+1)/(6(k-1)); scaled by 6k(k-1) these are the integer keys
+    # (q+1)(k-1) and (r+1)k, and the outer step goes first on a tie.
     for k in range(2, n + 1):
         so, si = ring_start(k), ring_start(k - 1)
         mo, mi = 6 * k, 6 * (k - 1)
-        for s in range(6):
-            def outer(t):
-                return so + (s * k + t) % mo
-
-            def inner(t):
-                return si + (s * (k - 1) + t) % mi
-
-            po, pi = 0, 0
-            while po < k or pi < k - 1:
-                if po == k:
-                    step_outer = False
-                elif pi == k - 1:
-                    step_outer = True
-                else:
-                    # advance the ring whose next vertex trails in angle
-                    step_outer = (s * k + po + 1) * (k - 1) <= (
-                        s * (k - 1) + pi + 1
-                    ) * k
-                if step_outer:
-                    tris.append((outer(po), outer(po + 1), inner(pi)))
-                    po += 1
-                else:
-                    tris.append((outer(po), inner(pi + 1), inner(pi)))
-                    pi += 1
-    triangles = np.array(tris, dtype=np.int64)
+        keys = np.concatenate([np.arange(1, mo + 1, dtype=np.int64) * (k - 1),
+                               np.arange(1, mi + 1, dtype=np.int64) * k])
+        # merge both rings' steps by key; False (outer) sorts first
+        inner = np.arange(mo + mi) >= mo
+        inner = inner[np.lexsort((inner, keys))]
+        # po, pi: outer and inner steps taken before each step
+        pi = np.cumsum(inner) - inner
+        po = np.arange(mo + mi) - pi
+        strips.append(np.column_stack([
+            so + po % mo,
+            np.where(inner, si + (pi + 1) % mi, so + (po + 1) % mo),
+            si + pi % mi,
+        ]))
+    triangles = np.concatenate(strips)
 
     boundary = np.zeros(len(vertices), dtype=bool)
     boundary[ring_start(n):] = True
     return _finish(vertices, triangles, boundary)
+
+
+# rows of one formatted block of write_vtk: bounds the text held in memory
+_VTK_BLOCK_ROWS = 8192
+
+
+def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
+    """Write one line per row of a 1-D or 2-D array, formatted by fmt."""
+    for start in range(0, rows.shape[0], _VTK_BLOCK_ROWS):
+        block = rows[start:start + _VTK_BLOCK_ROWS]
+        fh.write(((fmt + "\n") * block.shape[0])
+                 % tuple(block.ravel().tolist()))
 
 
 def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None,
@@ -261,7 +265,13 @@ def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None,
     cell_data : dict[str, array] or None
         Per-cell scalar fields (CELL_DATA section).
 
-    The output is byte-for-byte reproducible for identical inputs.
+    The arrays are formatted column-wise, a block of rows at a time:
+    each block is converted to Python numbers with ``tolist`` and
+    formatted by one ``%`` pattern repeated once per row, so the text in
+    memory at any time is bounded by the block, not by the mesh.  Floats
+    are written as ``%.12e``, the same bytes as formatting each value on
+    its own with ``f"{v:.12e}"``; the output is byte-for-byte
+    reproducible for identical inputs.
     """
     point_data = point_data or {}
     cell_data = cell_data or {}
@@ -280,22 +290,18 @@ def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None,
         if checked:
             sections.append((f"{kind}_DATA {size}", checked))
 
-    # written one block of lines at a time, so the text of a large mesh
-    # is never held in memory as a whole
     with open(path, "w") as fh:
-        def put(lines):
-            fh.write("\n".join(lines))
-            fh.write("\n")
-
-        put(["# vtk DataFile Version 2.0", title, "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} float"])
-        put(f"{x:.12e} {y:.12e} 0.0" for x, y in mesh.vertices)
-        put([f"CELLS {nt} {4 * nt}"])
-        put(f"3 {a} {b} {c}" for a, b, c in mesh.triangles)
-        put([f"CELL_TYPES {nt}"])
-        put(["5"] * nt)  # VTK_TRIANGLE
+        fh.write("# vtk DataFile Version 2.0\n"
+                 f"{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {nv} float\n")
+        _write_rows(fh, "%.12e %.12e 0.0", mesh.vertices)
+        fh.write(f"CELLS {nt} {4 * nt}\n")
+        _write_rows(fh, "3 %d %d %d", mesh.triangles)
+        fh.write(f"CELL_TYPES {nt}\n")
+        for start in range(0, nt, _VTK_BLOCK_ROWS):
+            fh.write("5\n" * min(_VTK_BLOCK_ROWS, nt - start))  # VTK_TRIANGLE
         for header, fields in sections:
-            put([header])
+            fh.write(f"{header}\n")
             for name, values in fields.items():
-                put([f"SCALARS {name} float 1", "LOOKUP_TABLE default"])
-                put(f"{v:.12e}" for v in values)
+                fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
+                _write_rows(fh, "%.12e", values)

@@ -130,7 +130,7 @@ def upsilon(s, tau: float):
 
     Continuous, convex, C^1 at both breakpoints.
     """
-    if tau <= 0.0:
+    if not (tau > 0.0):
         raise ValueError("tau must be positive")
     s = np.asarray(s, dtype=float)
     vals = np.where(

@@ -44,6 +44,59 @@ def test_assembly_matches_hand_loop():
     assert np.allclose(K, hand_assembled(m, a), atol=1e-14)
 
 
+# local (i, j) pairs of a cell: six upper entries, then the mirrored ones
+_LOCAL_I = [0, 1, 2, 0, 0, 1, 1, 2, 2]
+_LOCAL_J = [0, 1, 2, 1, 2, 2, 0, 0, 1]
+
+
+def reference_stiffness(mesh, cols):
+    """CSR (indptr, indices, data), one local entry expression at a time.
+
+    The entries are scattered in cell-major order, as the assembler does,
+    so the sums and hence the bits must agree.
+    """
+    nv = mesh.n_vertices
+    g = mesh.cell_basis_gradients
+    a11, a12, a22 = cols[:, 0], cols[:, 1], cols[:, 2]
+    loc = np.empty((mesh.n_cells, 9))
+    for k, (i, j) in enumerate(zip(_LOCAL_I[:6], _LOCAL_J[:6])):
+        gi, gj = g[:, i], g[:, j]
+        loc[:, k] = ((a11 * gi[:, 0] + a12 * gi[:, 1]) * gj[:, 0]
+                     + (a12 * gi[:, 0] + a22 * gi[:, 1]) * gj[:, 1])
+    loc[:, :6] *= mesh.cell_areas[:, None]
+    loc[:, 6:] = loc[:, 3:6]
+    keys = (mesh.triangles[:, _LOCAL_I] * nv + mesh.triangles[:, _LOCAL_J])
+    pattern, slots = np.unique(keys.ravel(), return_inverse=True)
+    data = np.bincount(slots.ravel(), weights=loc.ravel())
+    indptr = np.searchsorted(pattern // nv, np.arange(nv + 1))
+    return indptr, pattern % nv, data
+
+
+def random_spd_columns(rng, n_cells):
+    L = rng.standard_normal((n_cells, 2, 2))
+    T = L @ L.transpose(0, 2, 1) + 0.05 * np.eye(2)
+    return np.column_stack([T[:, 0, 0], T[:, 0, 1], T[:, 1, 1]])
+
+
+@pytest.mark.parametrize("mesh", [build_unit_square_mesh(17),
+                                  build_unit_disk_mesh(0.07)],
+                         ids=["square", "disk"])
+def test_assembly_matches_reference_bitwise(mesh):
+    rng = np.random.default_rng(29)
+    asm = StiffnessAssembler(mesh)
+    scalar = rng.uniform(0.05, 20.0, mesh.n_cells)
+    iso = np.zeros((mesh.n_cells, 3))
+    iso[:, 0] = scalar
+    iso[:, 2] = scalar
+    spd = random_spd_columns(rng, mesh.n_cells)
+    for coeff, cols in ((scalar, iso), (spd, spd)):
+        indptr, indices, data = reference_stiffness(mesh, cols)
+        K = asm.assemble(coeff)
+        assert np.array_equal(K.indptr, indptr)
+        assert np.array_equal(K.indices, indices)
+        assert K.data.tobytes() == data.tobytes()
+
+
 def test_assembly_bitwise_symmetric():
     m = build_unit_disk_mesh(0.2)
     rng = np.random.default_rng(11)

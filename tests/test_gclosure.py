@@ -293,3 +293,14 @@ def test_validation():
         lamination_means(0.5, 2.0, 1.0)
     with pytest.raises(ValueError):
         lamination_means(-0.1, A, B)
+    # NaN compares false both ways, so it must fail the range check
+    with pytest.raises(ValueError):
+        lamination_means(np.nan, A, B)
+    with pytest.raises(ValueError):
+        lamination_means(np.array([0.5, np.nan]), A, B)
+    with pytest.raises(ValueError):
+        optimal_t(np.nan, 0.25, 0.5, A, B)
+    with pytest.raises(ValueError):
+        optimal_t(np.array([1.0, np.nan]), 0.25, 0.5, A, B)
+    with pytest.raises(ValueError):
+        optimal_t(1.0, np.nan, 0.5, A, B)

@@ -41,6 +41,10 @@ def test_square_rejects_bad_n():
         build_unit_square_mesh(0)
     with pytest.raises(ValueError):
         build_unit_square_mesh(2.5)
+    # bool is an int subclass, but True is not a subdivision count
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError):
+            build_unit_square_mesh(flag)
 
 
 def test_disk_polygon_area():
@@ -118,11 +122,111 @@ def test_mesh_arrays_read_only():
 
 
 def test_builds_deterministic():
-    a = build_unit_disk_mesh(0.17)
-    b = build_unit_disk_mesh(0.17)
-    assert np.array_equal(a.vertices, b.vertices)
-    assert np.array_equal(a.triangles, b.triangles)
-    assert np.array_equal(a.cell_areas, b.cell_areas)
+    for build, size in ((build_unit_disk_mesh, 0.17),
+                        (build_unit_square_mesh, 9)):
+        a = build(size)
+        b = build(size)
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.triangles, b.triangles)
+        assert np.array_equal(a.cell_areas, b.cell_areas)
+
+
+# Reference builders: the original quad-by-quad and step-by-step loops.
+# The library builds the same arrays column-wise; these pin them down.
+
+def reference_square(n):
+    coords = np.arange(n + 1) / n
+    xx, yy = np.meshgrid(coords, coords, indexing="xy")
+    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            if (i + j) % 2 == 0:
+                tris.append((v00, v10, v11))
+                tris.append((v00, v11, v01))
+            else:
+                tris.append((v00, v10, v01))
+                tris.append((v10, v11, v01))
+    i_idx = np.tile(np.arange(n + 1), n + 1)
+    j_idx = np.repeat(np.arange(n + 1), n + 1)
+    boundary = (i_idx == 0) | (i_idx == n) | (j_idx == 0) | (j_idx == n)
+    return vertices, np.array(tris, dtype=np.int64), boundary
+
+
+def reference_disk(h):
+    n = max(1, math.ceil(1.0 / h))
+    verts = [(0.0, 0.0)]
+    for k in range(1, n + 1):
+        m = 6 * k
+        r = k / n
+        ang = 2.0 * np.pi * np.arange(m) / m
+        ring = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        verts.extend(map(tuple, ring))
+    vertices = np.array(verts)
+
+    def ring_start(k):
+        return 1 + 3 * k * (k - 1)
+
+    s1 = ring_start(1)
+    tris = [(0, s1 + j, s1 + (j + 1) % 6) for j in range(6)]
+    for k in range(2, n + 1):
+        so, si = ring_start(k), ring_start(k - 1)
+        mo, mi = 6 * k, 6 * (k - 1)
+        for s in range(6):
+            def outer(t):
+                return so + (s * k + t) % mo
+
+            def inner(t):
+                return si + (s * (k - 1) + t) % mi
+
+            po, pi = 0, 0
+            while po < k or pi < k - 1:
+                if po == k:
+                    step_outer = False
+                elif pi == k - 1:
+                    step_outer = True
+                else:
+                    step_outer = (s * k + po + 1) * (k - 1) <= (
+                        s * (k - 1) + pi + 1
+                    ) * k
+                if step_outer:
+                    tris.append((outer(po), outer(po + 1), inner(pi)))
+                    po += 1
+                else:
+                    tris.append((outer(po), inner(pi + 1), inner(pi)))
+                    pi += 1
+    boundary = np.zeros(len(vertices), dtype=bool)
+    boundary[ring_start(n):] = True
+    return vertices, np.array(tris, dtype=np.int64), boundary
+
+
+def assert_mesh_equals(mesh, reference):
+    vertices, triangles, boundary = reference
+    assert mesh.vertices.dtype == np.float64
+    assert mesh.triangles.dtype == np.int64
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.triangles, triangles)
+    assert np.array_equal(mesh.boundary, boundary)
+
+
+def test_square_matches_reference_loop():
+    for n in [*range(1, 41), 255, 256]:
+        assert_mesh_equals(build_unit_square_mesh(n), reference_square(n))
+
+
+def test_disk_matches_reference_loop():
+    # values next to 1/k change the ring count, so they sit on both sides
+    near = [1.0 / k * f for k in (2, 3, 5, 7, 16, 50)
+            for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
+    for h in [0.9, 0.45, 0.3, 0.17, 0.11, 0.05, 0.02, 1 / 64, 1 / 200,
+              *near]:
+        assert_mesh_equals(build_unit_disk_mesh(h), reference_disk(h))
 
 
 def test_centroids():

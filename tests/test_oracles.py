@@ -161,6 +161,8 @@ def test_upsilon_c1_and_convex():
     assert np.all(np.diff(np.diff(v)) >= -1e-12)
     with pytest.raises(ValueError):
         upsilon(0.5, 0.0)
+    with pytest.raises(ValueError):
+        upsilon(0.5, float("nan"))
 
 
 def test_radial_residual_validates():
