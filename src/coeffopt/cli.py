@@ -220,12 +220,7 @@ def _phase_summary(mesh, field, alpha, beta, domain, summary):
 
 def _run_scalar_descent(mesh, settings, spec):
     a, u, report = compliance_descent(mesh, 1.0, spec, _descent_config(settings))
-    summary = {
-        "final_cost": report.costs[-1],
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "stagnated": report.stagnated,
-    }
+    summary = {}
     if spec.is_box:
         _phase_summary(mesh, a, spec.alpha, spec.beta, settings["domain"],
                        summary)
@@ -237,13 +232,7 @@ def _run_energy(mesh, settings):
     t, a_eff, u, report = energy_relaxed_solve(
         mesh, 1.0, settings["alpha"], settings["beta"], settings["gamma"],
         _descent_config(settings))
-    summary = {
-        "final_cost": report.costs[-1],
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "stagnated": report.stagnated,
-        "mean_t": float(mesh.cell_areas @ t / mesh.cell_areas.sum()),
-    }
+    summary = {"mean_t": float(mesh.cell_areas @ t / mesh.cell_areas.sum())}
     _phase_summary(mesh, a_eff, settings["alpha"], settings["beta"],
                    settings["domain"], summary)
     return {"point_data": {"u": u}, "cell_data": {"t": t, "a": a_eff},
@@ -263,10 +252,6 @@ def _run_general(mesh, settings):
     lam1, lam2, _, _ = eig_sym_2x2(tensor)
     ratio = lam2 / lam1
     summary = {
-        "final_cost": report.costs[-1],
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "stagnated": report.stagnated,
         "mean_t": float(mesh.cell_areas @ t / mesh.cell_areas.sum()),
         "max_eigenvalue_ratio": float(ratio.max()),
     }
@@ -275,27 +260,41 @@ def _run_general(mesh, settings):
             "report": report, "summary": summary}
 
 
+# the penalty of each scalar-descent experiment; custom takes --penalty
+_SCALAR_PENALTY = {"compliance-quadratic": "quadratic",
+                   "compliance-twophase": "linear-box"}
+
+
 def run_experiment(settings, mesh=None) -> dict:
+    """Run the configured experiment: its fields, report and summary.
+
+    The summary opens with the report's final cost, iteration count
+    and stop flags, followed by the experiment's own entries.
+    """
     if mesh is None:
         mesh = _build_mesh(settings)
     exp = settings["experiment"]
-    if exp == "compliance-quadratic":
-        return _run_scalar_descent(mesh, settings, PenaltySpec("quadratic"))
-    if exp == "compliance-twophase":
-        spec = PenaltySpec("linear-box", alpha=settings["alpha"],
-                           beta=settings["beta"], gamma=settings["gamma"])
-        return _run_scalar_descent(mesh, settings, spec)
     if exp == "energy-relaxed":
-        return _run_energy(mesh, settings)
-    if exp == "general-relaxed":
-        return _run_general(mesh, settings)
-    variant = settings["penalty"]
-    if variant in ("linear-box", "affine-box"):
-        spec = PenaltySpec(variant, alpha=settings["alpha"],
-                           beta=settings["beta"], gamma=settings["gamma"])
+        result = _run_energy(mesh, settings)
+    elif exp == "general-relaxed":
+        result = _run_general(mesh, settings)
     else:
-        spec = PenaltySpec(variant)
-    return _run_scalar_descent(mesh, settings, spec)
+        variant = _SCALAR_PENALTY.get(exp, settings["penalty"])
+        if variant in ("linear-box", "affine-box"):
+            spec = PenaltySpec(variant, alpha=settings["alpha"],
+                               beta=settings["beta"], gamma=settings["gamma"])
+        else:
+            spec = PenaltySpec(variant)
+        result = _run_scalar_descent(mesh, settings, spec)
+    report = result["report"]
+    result["summary"] = {
+        "final_cost": report.costs[-1],
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "stagnated": report.stagnated,
+        **result["summary"],
+    }
+    return result
 
 
 def _format_value(value) -> str:

@@ -12,14 +12,16 @@ and columns are eliminated and the free-dof system is solved by
 conjugate gradients preconditioned with a smoothed-aggregation
 multigrid V-cycle (Vanek, Mandel and Brezina, 1996), so the iteration
 count stays flat as the mesh is refined.  A ``StiffnessAssembler`` is
-the per-mesh solver state: it keeps the free-dof pattern, the gather
-that fills it and the aggregation transfers, which live as long as the
-assembler.  What depends on the coefficient - the reduced matrix and
-the V-cycle on its Galerkin coarse operators - belongs to the assembled
-matrix: it is built on the matrix's first solve, reused by every later
-solve of the same matrix object and freed with it.  A caller that solves
-twice with one operator (a state and its adjoint) keeps the matrix; one
-that drops it keeps nothing.
+the one per-mesh solver state: the free-dof pattern, the gather that
+fills it and the aggregation transfers live as long as it does.  Each
+matrix it assembles carries it, and ``solve_dirichlet`` takes the
+Dirichlet mask from there; a matrix built any other way, or paired with
+another mask, raises ``ValueError``.  What depends on the coefficient -
+the reduced matrix and the V-cycle on its Galerkin coarse operators -
+belongs to the assembled matrix: it is built on the matrix's first
+solve, reused by every later solve of the same matrix object and freed
+with it.  A caller that solves twice with one operator (a state and its
+adjoint) keeps the matrix; one that drops it keeps nothing.
 
 Field conventions
 -----------------
@@ -46,7 +48,6 @@ __all__ = [
     "IllPosedCoefficientError",
     "SolverFailure",
     "StiffnessAssembler",
-    "DirichletSolver",
     "assemble_stiffness",
     "assemble_load",
     "assemble_point_load",
@@ -131,8 +132,9 @@ class StiffnessAssembler:
     optimizer iteration) reduce to the six upper local entries per cell
     and one deterministic scatter; each entry lands in both of its
     slots, so the matrix is symmetric bit for bit.  The aggregation
-    transfers of ``solve_dirichlet`` are built on the first solve of a
-    matrix from this assembler and reused by every later one.
+    transfers are built on the first solve of a matrix from this
+    assembler and reused by every later one, which only recomputes its
+    Galerkin coarse operators (``operators``).
     """
 
     def __init__(self, mesh: Mesh):
@@ -157,14 +159,27 @@ class StiffnessAssembler:
         counts = np.bincount(pattern // nv, minlength=nv)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
         self._indices = (pattern % nv).astype(np.int32)
-        self.solver = DirichletSolver(self._indptr, self._indices, mesh.boundary)
+        # the free-dof pattern and the gather that fills it from the
+        # full matrix's data
+        free = ~mesh.boundary
+        self.free = np.flatnonzero(free)
+        rows = np.repeat(np.arange(nv, dtype=np.int32), counts)
+        keep = free[rows] & free[self._indices]
+        renum = (np.cumsum(free) - 1).astype(np.int32)
+        self._gather = np.flatnonzero(keep).astype(np.int32)
+        self._free_indices = renum[self._indices[keep]]
+        free_counts = np.bincount(renum[rows[keep]],
+                                  minlength=self.free.size)
+        self._free_indptr = np.concatenate(
+            [[0], np.cumsum(free_counts)]).astype(np.int32)
+        # every reduced matrix shares this pattern
+        self._free_indices.setflags(write=False)
+        self._free_indptr.setflags(write=False)
+        self._transfers = None  # (P, R) per level, from the first solve
 
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
-        """Stiffness matrix on the full vertex set.
-
-        The matrix carries this assembler's solver as its
-        ``dirichlet_solver`` attribute, which ``solve_dirichlet`` reuses.
-        """
+        """Stiffness matrix on the full vertex set, carrying this
+        assembler as its ``assembler`` attribute for ``solve_dirichlet``."""
         mesh = self.mesh
         cols = _as_tensor_columns(mesh, coeff)
         g = mesh.cell_basis_gradients
@@ -204,8 +219,57 @@ class StiffnessAssembler:
         K = sp.csr_matrix(
             (vals, self._indices.copy(), self._indptr.copy()), shape=(nv, nv)
         )
-        K.dirichlet_solver = self.solver
+        K.assembler = self
         return K
+
+    def operators(self, matrix: sp.csr_matrix):
+        """(A, M): the reduced (free-dof) matrix and its V-cycle.
+
+        Both are built on the matrix's first solve and kept on the
+        matrix object, so they live exactly as long as it does; the
+        matrix must not be modified after it has been solved with.
+        """
+        ops = getattr(matrix, "_dirichlet_operators", None)
+        if ops is None:
+            n = self.free.size
+            A = sp.csr_matrix(
+                (matrix.data[self._gather], self._free_indices,
+                 self._free_indptr),
+                shape=(n, n),
+            )
+            diag = A.diagonal()
+            if not (diag > 0.0).all():
+                i = int(np.flatnonzero(diag <= 0.0)[0])
+                raise IllPosedCoefficientError(
+                    f"nonpositive stiffness diagonal at reduced index {i}"
+                )
+            ops = matrix._dirichlet_operators = (A, self.preconditioner(A))
+        return ops
+
+    def preconditioner(self, A: sp.csr_matrix) -> LinearOperator:
+        """Symmetric V-cycle for the reduced matrix A, as an SPD operator."""
+        if self._transfers is None:
+            self._transfers = _aggregation_hierarchy(A)
+        levels = [A]
+        for P, R in self._transfers:
+            levels.append(_galerkin(levels[-1], P, R))
+        weights = [_jacobi_weights(Al) for Al in levels[:-1]]
+        try:
+            L = np.linalg.cholesky(levels[-1].toarray())
+        except np.linalg.LinAlgError:
+            raise SolverFailure(
+                "coarsest multigrid operator is not positive definite"
+            ) from None
+        # the coarsest inverse from its Cholesky factor; L^-T L^-1 is
+        # formed as one symmetric product
+        Linv = np.linalg.inv(L)
+        coarse = Linv.T @ Linv
+        # the dtype is given, so scipy does not probe it with a V-cycle
+        return LinearOperator(
+            A.shape, matvec=lambda b: _vcycle(levels, self._transfers,
+                                              weights, coarse, b, 0),
+            dtype=A.dtype,
+        )
 
 
 def assemble_stiffness(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
@@ -290,96 +354,6 @@ class LinearSystem:
 # at which coarsening stops and the level is factored densely
 _STRENGTH = 0.08
 _MAX_COARSE = 300
-
-
-class DirichletSolver:
-    """Free-dof system and multigrid preconditioner for one pattern.
-
-    Built from the CSR pattern of the full matrix and the Dirichlet
-    mask, it holds the pattern of the reduced (free-dof) matrix and the
-    gather that fills it from the full matrix's data.  The aggregation
-    transfers are built from the first reduced matrix it sees and kept;
-    each later matrix only recomputes the Galerkin coarse operators,
-    once, on its first solve (``operators``).
-    """
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 boundary: np.ndarray):
-        self._full = (indptr, indices)
-        self.boundary = boundary
-        free = ~boundary
-        self.free = np.flatnonzero(free)
-        rows = np.repeat(np.arange(boundary.size, dtype=np.int32),
-                         np.diff(indptr))
-        keep = free[rows] & free[indices]
-        renum = (np.cumsum(free) - 1).astype(np.int32)
-        self._gather = np.flatnonzero(keep).astype(np.int32)
-        self._indices = renum[indices[keep]]
-        counts = np.bincount(renum[rows[keep]], minlength=self.free.size)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        # every reduced matrix shares this pattern
-        self._indices.setflags(write=False)
-        self._indptr.setflags(write=False)
-        self._transfers = None  # (P, R) per level, from the first solve
-
-    def matches(self, matrix: sp.csr_matrix, boundary: np.ndarray) -> bool:
-        """Whether the matrix has this pattern and mask."""
-        indptr, indices = self._full
-        return (np.array_equal(matrix.indptr, indptr)
-                and np.array_equal(matrix.indices, indices)
-                and np.array_equal(boundary, self.boundary))
-
-    def reduce(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
-        """The free-dof block of a matrix with this solver's pattern."""
-        n = self.free.size
-        return sp.csr_matrix(
-            (matrix.data[self._gather], self._indices, self._indptr),
-            shape=(n, n),
-        )
-
-    def operators(self, matrix: sp.csr_matrix):
-        """(A, M): the reduced matrix and its V-cycle.
-
-        Both are built on the matrix's first solve and kept on the
-        matrix object, so they live exactly as long as it does; the
-        matrix must not be modified after it has been solved with.
-        """
-        ops = getattr(matrix, "_dirichlet_operators", None)
-        if ops is None:
-            A = self.reduce(matrix)
-            diag = A.diagonal()
-            if not (diag > 0.0).all():
-                i = int(np.flatnonzero(diag <= 0.0)[0])
-                raise IllPosedCoefficientError(
-                    f"nonpositive stiffness diagonal at reduced index {i}"
-                )
-            ops = matrix._dirichlet_operators = (A, self.preconditioner(A))
-        return ops
-
-    def preconditioner(self, A: sp.csr_matrix) -> LinearOperator:
-        """Symmetric V-cycle for the reduced matrix A, as an SPD operator."""
-        if self._transfers is None:
-            self._transfers = _aggregation_hierarchy(A)
-        levels = [A]
-        for P, R in self._transfers:
-            levels.append(_galerkin(levels[-1], P, R))
-        weights = [_jacobi_weights(Al) for Al in levels[:-1]]
-        try:
-            L = np.linalg.cholesky(levels[-1].toarray())
-        except np.linalg.LinAlgError:
-            raise SolverFailure(
-                "coarsest multigrid operator is not positive definite"
-            ) from None
-        # the coarsest inverse from its Cholesky factor; L^-T L^-1 is
-        # formed as one symmetric product
-        Linv = np.linalg.inv(L)
-        coarse = Linv.T @ Linv
-        # the dtype is given, so scipy does not probe it with a V-cycle
-        return LinearOperator(
-            A.shape, matvec=lambda b: _vcycle(levels, self._transfers,
-                                              weights, coarse, b, 0),
-            dtype=A.dtype,
-        )
 
 
 def _galerkin(A, P, R) -> sp.csr_matrix:
@@ -483,38 +457,29 @@ def _aggregation_hierarchy(A: sp.csr_matrix) -> list:
     return transfers
 
 
-def _solver_for(system: LinearSystem):
-    """(solver, matrix): the assembler's own solver for its matrices,
-    else a fresh one on a canonical CSR copy of the matrix."""
-    K = system.matrix
-    solver = getattr(K, "dirichlet_solver", None)
-    if solver is None or not solver.matches(K, system.boundary):
-        K = sp.csr_matrix(K, copy=True)
-        K.sum_duplicates()
-        solver = DirichletSolver(K.indptr, K.indices, system.boundary)
-    return solver, K
-
-
 def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
                     x0: np.ndarray | None = None) -> np.ndarray:
     """Solve with zero Dirichlet values via symmetric elimination.
 
-    The boundary rows and columns are dropped (the boundary values are
-    set to exactly 0.0) by gathering the free-dof block straight from
-    the matrix data, and the reduced SPD system is solved by conjugate
+    The matrix must come from a ``StiffnessAssembler``: the Dirichlet
+    mask is its mesh boundary, and the free-dof pattern, gather and
+    aggregation transfers are the assembler's.  The boundary rows and
+    columns are dropped (the boundary values are set to exactly 0.0) by
+    gathering the free-dof block straight from the matrix data, and the
+    reduced SPD system is solved by conjugate
     gradients down to a relative residual of ``rtol``.  The
-    preconditioner is a smoothed-aggregation multigrid V-cycle.  For a
-    matrix from a ``StiffnessAssembler`` the free-dof pattern, gather
-    and aggregation transfers belong to the assembler and are reused
-    across matrices.  The reduced matrix and the V-cycle (its Galerkin
-    coarse operators and coarsest factor) belong to the matrix object:
-    built on its first solve, reused by later solves of the same object
-    with any load, freed with it.  Solving twice with one operator
-    therefore costs one set-up; a caller that wants nothing kept drops
-    the matrix.
+    preconditioner is a smoothed-aggregation multigrid V-cycle.  The
+    reduced matrix and the V-cycle (its Galerkin coarse operators and
+    coarsest factor) belong to the matrix object: built on its first
+    solve, reused by later solves of the same object with any load,
+    freed with it.  Solving twice with one operator therefore costs one
+    set-up; a caller that wants nothing kept drops the matrix.
 
     Raises
     ------
+    ValueError
+        If the matrix has no assembler or not its pattern, or the mask
+        is not the boundary of the assembler's mesh.
     SolverFailure
         If CG stops without reaching the tolerance (the message reports
         the achieved relative residual), or if the multigrid set-up
@@ -523,14 +488,22 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     IllPosedCoefficientError
         If the reduced matrix has a nonpositive diagonal entry.
     """
-    solver, K = _solver_for(system)
-    free = solver.free
+    K = system.matrix
+    asm = getattr(K, "assembler", None)
+    if asm is None:
+        raise ValueError("matrix was not built by a StiffnessAssembler")
+    if not (np.array_equal(K.indptr, asm._indptr)
+            and np.array_equal(K.indices, asm._indices)):
+        raise ValueError("matrix pattern differs from its assembler's")
+    if not np.array_equal(system.boundary, asm.mesh.boundary):
+        raise ValueError("Dirichlet mask is not the matrix's mesh boundary")
+    free = asm.free
     b = system.rhs[free]
     u = np.zeros(system.rhs.shape[0])
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u
-    A, M = solver.operators(K)
+    A, M = asm.operators(K)
     x_init = x0[free] if x0 is not None else None
     x, info = cg(A, b, x0=x_init, rtol=rtol, atol=0.0, M=M,
                  maxiter=20 * A.shape[0])

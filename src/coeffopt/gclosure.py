@@ -82,7 +82,7 @@ def d2_lambda2_bounds(lam1: float, alpha: float, beta: float):
     """
     _check_phases(alpha, beta)
     lam1 = np.asarray(lam1, dtype=float)
-    if np.any(lam1 < alpha) or np.any(lam1 > beta):
+    if not np.all((lam1 >= alpha) & (lam1 <= beta)):
         raise ValueError("lam1 must lie in [alpha, beta]")
     lo = alpha * beta / (alpha + beta - lam1)
     hi = alpha + beta - alpha * beta / lam1
@@ -304,6 +304,8 @@ def optimal_t(n_plus, n_minus, g, alpha: float, beta: float):
     g = np.asarray(g, dtype=float)
     if not (np.all(n_plus >= -1e-15) and np.all(n_minus >= -1e-15)):
         raise ValueError("N+ and N- must be nonnegative")
+    if np.isnan(g).any():
+        raise ValueError("g must not be NaN")
     n_plus = np.maximum(n_plus, 0.0)
     n_minus = np.maximum(n_minus, 0.0)
     b_lo = n_plus - (beta / alpha) * n_minus

@@ -139,6 +139,19 @@ class LinearCost:
 # the line search's largest step multiplier and its trial budget
 _STEP_CAP = 1.0
 _MAX_TRIALS = 31
+# gradient_check's solve tolerance: tight enough that the central
+# difference measures the cost, not the solver error
+_CHECK_RTOL = 1e-13
+
+
+def _solve(K, rhs, x0=None, rtol=1e-10):
+    """u with K u = rhs and u = 0 on the boundary of K's mesh.
+
+    ``rhs`` goes into the system as it is, never copied: the
+    benchmark's tracer tells a trial solve by its load object.
+    """
+    system = LinearSystem(K, rhs, K.assembler.mesh.boundary)
+    return solve_dirichlet(system, rtol=rtol, x0=x0)
 
 
 def _backtrack(trial_at, J: float, step: float):
@@ -222,12 +235,9 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
     load = assemble_load(mesh, f)
     ref = spec.beta if spec.is_box else None
 
-    def solve(a, x0=None):
-        K = asm.assemble(a)  # not kept past its solve
-        return solve_dirichlet(LinearSystem(K, load, mesh.boundary), x0=x0)
-
     a = _initial_coefficient(mesh, spec, config.a0)
-    u = solve(a)
+    # no matrix is kept past its solve
+    u = _solve(asm.assemble(a), load)
     J = cost_functional(mesh, load, u, a, spec)
     report = OptReport(costs=[J])
     j0 = max(abs(J), 1e-300)
@@ -246,7 +256,7 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
             trial = pen.project_to_domain(spec, a + step * scale * dirn)
             if np.array_equal(trial, a):
                 return None
-            u_t = solve(trial, x0=u)
+            u_t = _solve(asm.assemble(trial), load, x0=u)
             return cost_functional(mesh, load, u_t, trial, spec), (trial, u_t)
 
         hit, moved = _backtrack(trial_at, J, eps)
@@ -298,8 +308,7 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     for k in range(config.max_iters + 1):
         mu, nu = lamination_means(t, alpha, beta)
         # the matrix is not kept past its solve, nor its solver set-up
-        u = solve_dirichlet(
-            LinearSystem(asm.assemble(nu), load, mesh.boundary), x0=u)
+        u = _solve(asm.assemble(nu), load, x0=u)
         gsq = grad_norm_sq(mesh, u)
         J = 0.5 * float((mesh.cell_areas * nu) @ gsq) - float(load @ u) \
             + 0.5 * gamma * float(mesh.cell_areas @ (beta - mu))
@@ -397,14 +406,11 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     if g.shape != (mesh.n_cells,):
         raise ValueError(f"g_field must be scalar or shape ({mesh.n_cells},)")
 
-    def solve(K, rhs, x0=None):
-        return solve_dirichlet(LinearSystem(K, rhs, mesh.boundary), x0=x0)
-
     def adjoint(K, A, u, p):
         # K: the assembled matrix of A, or None when none was kept
         if self_adjoint:
             return u
-        return solve(K if K is not None else asm.assemble(A), weight, x0=p)
+        return _solve(K if K is not None else asm.assemble(A), weight, x0=p)
 
     def total_cost(u, mu):
         return float(weight @ u) + float(mesh.cell_areas @ (g * mu))
@@ -419,7 +425,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     mu, nu = lamination_means(t, alpha, beta)
     A = tensor_from_iso(nu)
     K = asm.assemble(A)
-    u = solve(K, load)
+    u = _solve(K, load)
     J = total_cost(u, mu)
     report = OptReport(costs=[J])
     j0 = max(abs(J), 1e-300)
@@ -452,7 +458,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
             if np.array_equal(t_new, t) and np.array_equal(a_new, A):
                 return None
             K_t = asm.assemble(a_new)
-            u_t = solve(K_t, load, x0=u)
+            u_t = _solve(K_t, load, x0=u)
             return total_cost(u_t, mu_n), (t_new, a_new, mu_n, nu_n, u_t, K_t)
 
         # the Hamiltonian maximizers over the fraction target's box and
@@ -513,8 +519,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
 
 
 def gradient_check(mesh: Mesh, f, spec: pen.PenaltySpec, a: np.ndarray,
-                   direction: np.ndarray, h: float = 1e-6,
-                   solver_rtol: float = 1e-13):
+                   direction: np.ndarray, h: float = 1e-6):
     """Analytic directional derivative of J versus central differences.
 
     dJ(a)[d] = int d (psi'(a) - |grad u|^2) against
@@ -525,17 +530,13 @@ def gradient_check(mesh: Mesh, f, spec: pen.PenaltySpec, a: np.ndarray,
     asm = StiffnessAssembler(mesh)
     load = assemble_load(mesh, f)
 
-    def solve(coeff):
-        K = asm.assemble(coeff)
-        return solve_dirichlet(LinearSystem(K, load, mesh.boundary),
-                               rtol=solver_rtol)
-
     def cost(coeff):
-        return cost_functional(mesh, load, solve(coeff), coeff, spec)
+        u = _solve(asm.assemble(coeff), load, rtol=_CHECK_RTOL)
+        return cost_functional(mesh, load, u, coeff, spec)
 
     a = np.asarray(a, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    u = solve(a)
+    u = _solve(asm.assemble(a), load, rtol=_CHECK_RTOL)
     gsq = grad_norm_sq(mesh, u)
     analytic = float(
         mesh.cell_areas @ (direction * (factor * pen.psi_prime(spec, a) - gsq))

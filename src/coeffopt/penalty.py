@@ -221,7 +221,7 @@ def recover_coefficient(spec: PenaltySpec, grad_sq):
     affine-box      a = phi'(|grad u|) / (2 |grad u|), beta at grad u = 0
     """
     g = np.asarray(grad_sq, dtype=float)
-    if np.any(g < 0.0):
+    if not np.all(g >= 0.0):
         raise ValueError("grad_sq must be nonnegative")
     if spec.variant == "quadratic":
         vals = g.copy()
@@ -250,7 +250,7 @@ def recover_from_flux(spec: PenaltySpec, flux_norm):
     quadratic: a = |sigma|^(2/3).
     """
     s = np.asarray(flux_norm, dtype=float)
-    if np.any(s < 0.0):
+    if not np.all(s >= 0.0):
         raise ValueError("flux_norm must be nonnegative")
     if spec.variant == "linear-box":
         vals = np.clip(s / math.sqrt(spec.gamma), spec.alpha, spec.beta)

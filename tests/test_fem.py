@@ -313,16 +313,35 @@ def test_multigrid_iterations_stay_flat(monkeypatch):
     assert max(counts) <= 25, counts
 
 
-def test_bare_linear_system_matches_assembler_path():
-    m = build_unit_disk_mesh(0.05)
+def test_solve_dirichlet_rejects_foreign_systems():
+    # the mask and the free-dof pattern are the assembler's: a matrix
+    # without one, another mask or an altered pattern is refused
+    m = build_unit_disk_mesh(0.1)
     a = np.linspace(1.0, 3.0, m.n_cells)
     b = assemble_load(m, 1.0)
-    K = StiffnessAssembler(m).assemble(a)
-    u = solve_dirichlet(LinearSystem(K, b, m.boundary))
+    asm = StiffnessAssembler(m)
+    K = asm.assemble(a)
     bare = sp.csr_matrix(K.toarray())  # a matrix with no assembler behind it
-    v = solve_dirichlet(LinearSystem(bare, b, m.boundary))
-    assert np.linalg.norm(u - v) <= 1e-9 * np.linalg.norm(u)
-    assert v[m.boundary].tolist() == [0.0] * int(m.boundary.sum())
+    with pytest.raises(ValueError, match="StiffnessAssembler"):
+        solve_dirichlet(LinearSystem(bare, b, m.boundary))
+    mask = m.boundary.copy()
+    mask[np.flatnonzero(~mask)[0]] = True
+    with pytest.raises(ValueError, match="mask"):
+        solve_dirichlet(LinearSystem(K, b, mask))
+    altered = asm.assemble(a)
+    altered.indices[[0, 1]] = altered.indices[[1, 0]]
+    with pytest.raises(ValueError, match="pattern"):
+        solve_dirichlet(LinearSystem(altered, b, m.boundary))
+    u = solve_dirichlet(LinearSystem(K, b, m.boundary))
+    assert u[m.boundary].tolist() == [0.0] * int(m.boundary.sum())
+
+
+def test_aggregation_that_cannot_halve_fails():
+    # no off-diagonal entries, so every row is its own aggregate
+    import coeffopt.fem as fem
+
+    with pytest.raises(SolverFailure, match="could not halve"):
+        fem._aggregation_hierarchy(sp.identity(400, format="csr"))
 
 
 def test_one_matrix_serves_two_loads(monkeypatch):
@@ -332,13 +351,13 @@ def test_one_matrix_serves_two_loads(monkeypatch):
     import coeffopt.fem as fem
 
     builds = []
-    real = fem.DirichletSolver.preconditioner
+    real = fem.StiffnessAssembler.preconditioner
 
     def counting(self, A):
         builds.append(A.shape)
         return real(self, A)
 
-    monkeypatch.setattr(fem.DirichletSolver, "preconditioner", counting)
+    monkeypatch.setattr(fem.StiffnessAssembler, "preconditioner", counting)
     m = build_unit_disk_mesh(0.1)
     asm = StiffnessAssembler(m)
     a = np.linspace(1.0, 3.0, m.n_cells)

@@ -304,3 +304,11 @@ def test_validation():
         optimal_t(np.array([1.0, np.nan]), 0.25, 0.5, A, B)
     with pytest.raises(ValueError):
         optimal_t(1.0, np.nan, 0.5, A, B)
+    with pytest.raises(ValueError):
+        optimal_t(1.0, 0.25, np.nan, A, B)
+    with pytest.raises(ValueError):
+        optimal_t(1.0, 0.25, np.array([0.5, np.nan]), A, B)
+    with pytest.raises(ValueError):
+        d2_lambda2_bounds(np.nan, A, B)
+    with pytest.raises(ValueError):
+        d2_lambda2_bounds(np.array([1.5, np.nan]), A, B)

@@ -378,7 +378,7 @@ class _SolverLog:
         self.released = []
         self.vcycles = []
         solve, assemble = optimize.solve_dirichlet, fem.StiffnessAssembler.assemble
-        precond = fem.DirichletSolver.preconditioner
+        precond = fem.StiffnessAssembler.preconditioner
         release = optimize.release_operators
 
         def alive(refs, obj=None):
@@ -406,9 +406,9 @@ class _SolverLog:
             self.live_at_assembly.append(len(alive(self.vcycles)))
             return assemble(asm, coeff)
 
-        def counting_precond(solver, A):
+        def counting_precond(asm, A):
             self.builds += 1
-            M = precond(solver, A)
+            M = precond(asm, A)
             self.vcycles.append(weakref.ref(M))
             return M
 
@@ -419,7 +419,7 @@ class _SolverLog:
         monkeypatch.setattr(optimize, "solve_dirichlet", counting_solve)
         monkeypatch.setattr(fem.StiffnessAssembler, "assemble",
                             counting_assemble)
-        monkeypatch.setattr(fem.DirichletSolver, "preconditioner",
+        monkeypatch.setattr(fem.StiffnessAssembler, "preconditioner",
                             counting_precond)
         monkeypatch.setattr(optimize, "release_operators", counting_release)
 

@@ -155,6 +155,11 @@ def test_recover_linear_box_threshold():
     assert recover_coefficient(spec, 0.05) == 2.0
     # ties resolve to the lower phase
     assert recover_coefficient(spec, 0.02) == 1.0
+    # NaN compares false both ways, so it must fail the range check
+    with pytest.raises(ValueError):
+        recover_coefficient(spec, np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError):
+        recover_coefficient(spec, -0.01)
 
 
 def test_recover_affine_box():
@@ -180,6 +185,10 @@ def test_recover_from_flux():
     assert abs(recover_from_flux(quad, 8.0) - 4.0) < 1e-15
     with pytest.raises(ValueError):
         recover_from_flux(make("inverse-square"), 1.0)
+    with pytest.raises(ValueError):
+        recover_from_flux(lin, np.array([0.3, np.nan]))
+    with pytest.raises(ValueError):
+        recover_from_flux(lin, -0.1)
 
 
 def test_phi_frozen_value():
