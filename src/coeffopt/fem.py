@@ -14,14 +14,29 @@ multigrid V-cycle (Vanek, Mandel and Brezina, 1996), so the iteration
 count stays flat as the mesh is refined.  A ``StiffnessAssembler`` is
 the one per-mesh solver state: the free-dof pattern, the gather that
 fills it and the aggregation transfers live as long as it does.  Each
-matrix it assembles carries it, and ``solve_dirichlet`` takes the
-Dirichlet mask from there; a matrix built any other way, or paired with
-another mask, raises ``ValueError``.  What depends on the coefficient -
-the reduced matrix and the V-cycle on its Galerkin coarse operators -
-belongs to the assembled matrix: it is built on the matrix's first
+matrix it assembles carries it and the coefficient it was assembled
+from, and ``solve_dirichlet`` takes the Dirichlet mask from there; a
+matrix built any other way, or paired with another mask, raises
+``ValueError``.
+
+The reduced matrix and the V-cycle's finest level (its smoother
+weights) belong to the assembled matrix: built on the matrix's first
 solve, reused by every later solve of the same matrix object and freed
 with it.  A caller that solves twice with one operator (a state and its
-adjoint) keeps the matrix; one that drops it keeps nothing.
+adjoint) keeps the matrix; one that drops it keeps nothing.  The coarse
+levels - the Galerkin operators below the finest level, their smoother
+weights and the coarsest inverse - belong to the assembler, with the
+coefficient they were built from.  Descent iterates and line-search
+trials move the coefficient little, so a matrix's first solve rebuilds
+them from that matrix only when the spectral contrast between the two
+coefficients exceeds ``_REBUILD_CONTRAST``: the largest over the cells
+of the generalized eigenvalues of each cell's 2x2 pencil divided by the
+smallest.  With m and M those extremes, m K_ref <= K <= M K_ref, so the
+kept coarse operators are within that factor, up to scale, of the
+matrix's own.  Each level smooths with two Jacobi sweeps before and two
+after the coarse correction, damped at the two roots of the degree-2
+Chebyshev polynomial on [rho / 10, rho], rho the Gershgorin bound of
+the spectrum of diag(A)^-1 A.
 
 Field conventions
 -----------------
@@ -133,8 +148,13 @@ class StiffnessAssembler:
     and one deterministic scatter; each entry lands in both of its
     slots, so the matrix is symmetric bit for bit.  The aggregation
     transfers are built on the first solve of a matrix from this
-    assembler and reused by every later one, which only recomputes its
-    Galerkin coarse operators (``operators``).
+    assembler and reused by every later one.  The V-cycle's coarse
+    levels and the coefficient they were built from are kept here too,
+    across matrices; ``operators`` rebuilds them only when a matrix's
+    coefficient has moved farther than ``_REBUILD_CONTRAST`` from that
+    one.  So the solves of one assembler, and hence its results in the
+    last digits, depend on the sequence of coefficients it has solved
+    with; a fresh assembler repeats them bit for bit.
     """
 
     def __init__(self, mesh: Mesh):
@@ -176,10 +196,16 @@ class StiffnessAssembler:
         self._free_indices.setflags(write=False)
         self._free_indptr.setflags(write=False)
         self._transfers = None  # (P, R) per level, from the first solve
+        # the V-cycle's coarse levels, ([(Galerkin operator, smoother
+        # weights) per level >= 1], coarsest inverse), and the
+        # coefficient they were built from; kept across matrices
+        self._coarse = None
+        self._reference = None
 
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Stiffness matrix on the full vertex set, carrying this
-        assembler as its ``assembler`` attribute for ``solve_dirichlet``."""
+        assembler as its ``assembler`` attribute for ``solve_dirichlet``
+        and the coefficient, in the shape given, as ``coefficient``."""
         mesh = self.mesh
         cols = _as_tensor_columns(mesh, coeff)
         g = mesh.cell_basis_gradients
@@ -220,6 +246,8 @@ class StiffnessAssembler:
             (vals, self._indices.copy(), self._indptr.copy()), shape=(nv, nv)
         )
         K.assembler = self
+        # not a copy, and a scalar one not widened to (n_cells, 3)
+        K.coefficient = np.asarray(coeff, dtype=float)
         return K
 
     def operators(self, matrix: sp.csr_matrix):
@@ -227,7 +255,12 @@ class StiffnessAssembler:
 
         Both are built on the matrix's first solve and kept on the
         matrix object, so they live exactly as long as it does; the
-        matrix must not be modified after it has been solved with.
+        matrix and its coefficient must not be modified after it has
+        been solved with.  The finest level of the V-cycle comes from
+        the matrix itself.  Its coarse levels are the assembler's: they
+        are rebuilt from this matrix only when its coefficient is more
+        than ``_REBUILD_CONTRAST`` apart from the one they were built
+        from (``_contrast``), and kept otherwise.
         """
         ops = getattr(matrix, "_dirichlet_operators", None)
         if ops is None:
@@ -243,31 +276,29 @@ class StiffnessAssembler:
                 raise IllPosedCoefficientError(
                     f"nonpositive stiffness diagonal at reduced index {i}"
                 )
+            if self._transfers is None:
+                self._transfers = _aggregation_hierarchy(A)
+            coeff = matrix.coefficient
+            # with no coarse level the coarsest inverse is A's own
+            if (not self._transfers or self._coarse is None
+                    or _contrast(coeff, self._reference) > _REBUILD_CONTRAST):
+                self._coarse = None  # freed before the new one is built
+                self._coarse = _coarse_levels(A, self._transfers)
+                self._reference = coeff
             ops = matrix._dirichlet_operators = (A, self.preconditioner(A))
         return ops
 
     def preconditioner(self, A: sp.csr_matrix) -> LinearOperator:
-        """Symmetric V-cycle for the reduced matrix A, as an SPD operator."""
-        if self._transfers is None:
-            self._transfers = _aggregation_hierarchy(A)
-        levels = [A]
-        for P, R in self._transfers:
-            levels.append(_galerkin(levels[-1], P, R))
-        weights = [_jacobi_weights(Al) for Al in levels[:-1]]
-        try:
-            L = np.linalg.cholesky(levels[-1].toarray())
-        except np.linalg.LinAlgError:
-            raise SolverFailure(
-                "coarsest multigrid operator is not positive definite"
-            ) from None
-        # the coarsest inverse from its Cholesky factor; L^-T L^-1 is
-        # formed as one symmetric product
-        Linv = np.linalg.inv(L)
-        coarse = Linv.T @ Linv
+        """Symmetric V-cycle for the reduced matrix A, as an SPD operator:
+        A and its smoother weights on the finest level, below it the
+        coarse levels ``operators`` keeps for A's coefficient."""
+        coarse_levels, inverse = self._coarse
+        levels = [(A, _chebyshev_weights(A))] + coarse_levels
+        transfers = self._transfers
         # the dtype is given, so scipy does not probe it with a V-cycle
         return LinearOperator(
-            A.shape, matvec=lambda b: _vcycle(levels, self._transfers,
-                                              weights, coarse, b, 0),
+            A.shape, matvec=lambda b: _vcycle(levels, transfers, inverse,
+                                              b, 0),
             dtype=A.dtype,
         )
 
@@ -356,33 +387,119 @@ _STRENGTH = 0.08
 _MAX_COARSE = 300
 
 
+# the coarse levels are rebuilt once the coefficient is more than this
+# spectral contrast apart from the one they were built from
+_REBUILD_CONTRAST = 1.5
+# the smoother damps the part [rho / 10, rho] of the spectrum of
+# diag(A)^-1 A; the coarse correction takes the rest
+_SMOOTH_FLOOR = 0.1
+
+
 def _galerkin(A, P, R) -> sp.csr_matrix:
     """R A P, averaged with its transpose so it is symmetric bit for bit."""
     Ac = R @ (A @ P)
     return ((Ac + Ac.T) * 0.5).tocsr()
 
 
-def _jacobi_weights(A: sp.csr_matrix) -> np.ndarray:
-    """omega / diag(A) with omega = 4 / (3 rho), rho Gershgorin-bounding
-    the spectrum of diag(A)^-1 A, so damped Jacobi contracts in energy."""
+def _gershgorin(A: sp.csr_matrix):
+    """(diag(A), rho) with rho Gershgorin-bounding the spectrum of
+    diag(A)^-1 A."""
     diag = A.diagonal()
     rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) / diag))
+    return diag, rho
+
+
+def _jacobi_weights(A: sp.csr_matrix) -> np.ndarray:
+    """omega / diag(A) with omega = 4 / (3 rho), so damped Jacobi
+    contracts in energy."""
+    diag, rho = _gershgorin(A)
     return (4.0 / (3.0 * rho)) / diag
 
 
-def _vcycle(levels, transfers, weights, coarse, b, level):
-    """x ~ A^-1 b: two damped-Jacobi sweeps before and after the coarse
-    correction, the coarsest level solved exactly by its inverse."""
+def _chebyshev_weights(A: sp.csr_matrix):
+    """(w1, w2): the Jacobi weights 1 / (r diag(A)) at the two roots r of
+    the degree-2 Chebyshev polynomial on [rho / 10, rho], theta -+ delta
+    cos(pi / 4); two sweeps with them are degree-2 Chebyshev smoothing."""
+    diag, rho = _gershgorin(A)
+    theta = 0.5 * (1.0 + _SMOOTH_FLOOR) * rho
+    delta = 0.5 * (1.0 - _SMOOTH_FLOOR) * rho
+    half = delta * np.cos(0.25 * np.pi)
+    return 1.0 / ((theta - half) * diag), 1.0 / ((theta + half) * diag)
+
+
+def _coarse_levels(A: sp.csr_matrix, transfers):
+    """The V-cycle below A's level: ([(Galerkin operator, smoother
+    weights) per level >= 1], inverse of the coarsest operator)."""
+    ops = [A]
+    for P, R in transfers:
+        ops.append(_galerkin(ops[-1], P, R))
+    try:
+        L = np.linalg.cholesky(ops[-1].toarray())
+    except np.linalg.LinAlgError:
+        raise SolverFailure(
+            "coarsest multigrid operator is not positive definite"
+        ) from None
+    # the coarsest inverse from its Cholesky factor; L^-T L^-1 is formed
+    # as one symmetric product
+    Linv = np.linalg.inv(L)
+    levels = [(Ac, _chebyshev_weights(Ac)) for Ac in ops[1:-1]]
+    return levels, Linv.T @ Linv
+
+
+def _tensor_parts(coeff: np.ndarray):
+    """(a11, a12, a22) of a validated scalar or tensor coefficient."""
+    if coeff.ndim == 2:
+        return coeff[:, 0], coeff[:, 1], coeff[:, 2]
+    return coeff, 0.0, coeff
+
+
+def _pencil_extremes(a: np.ndarray, b: np.ndarray):
+    """Per cell, the smallest and largest eigenvalue lam of
+    a x = lam b x, a and b validated scalar or tensor coefficients.
+
+    Closed form: with b = L L^T (Cholesky), the eigenvalues are those of
+    the symmetric C = L^-1 a L^-T, whose spread hypot((c11 - c22) / 2,
+    c12) has no cancellation; the smaller is det(C) / (larger).
+    """
+    a11, a12, a22 = _tensor_parts(a)
+    b11, b12, b22 = _tensor_parts(b)
+    det_b = b11 * b22 - b12 * b12
+    r = b12 / b11
+    c11 = a11 / b11
+    c12 = (a12 - a11 * r) / np.sqrt(det_b)
+    c22 = (a22 - 2.0 * a12 * r + a11 * r * r) * (b11 / det_b)
+    high = 0.5 * (c11 + c22) + np.hypot(0.5 * (c11 - c22), c12)
+    low = (a11 * a22 - a12 * a12) / det_b / high
+    return low, high
+
+
+def _contrast(coeff: np.ndarray, reference: np.ndarray) -> float:
+    """max lam / min lam over the cells' pencils (coeff, reference).
+
+    With m and M these extremes, m K_ref <= K <= M K_ref for the
+    stiffness matrices, and so for their Galerkin operators too.
+    """
+    if coeff.ndim < 2 and reference.ndim < 2:
+        ratio = coeff / reference
+        return float(np.max(ratio) / np.min(ratio))
+    low, high = _pencil_extremes(coeff, reference)
+    return float(np.max(high) / np.min(low))
+
+
+def _vcycle(levels, transfers, coarse, b, level):
+    """x ~ A^-1 b: two Jacobi sweeps with the Chebyshev weights (w1, w2)
+    before the coarse correction and two with (w2, w1) after it, so the
+    cycle is symmetric; the coarsest level is solved exactly by its
+    inverse."""
     if level == len(transfers):
         return coarse @ b
-    A, w = levels[level], weights[level]
+    A, (w1, w2) = levels[level]
     P, R = transfers[level]
-    x = w * b
-    x += w * (b - A @ x)
-    x += P @ _vcycle(levels, transfers, weights, coarse, R @ (b - A @ x),
-                     level + 1)
-    x += w * (b - A @ x)
-    x += w * (b - A @ x)
+    x = w1 * b
+    x += w2 * (b - A @ x)
+    x += P @ _vcycle(levels, transfers, coarse, R @ (b - A @ x), level + 1)
+    x += w2 * (b - A @ x)
+    x += w1 * (b - A @ x)
     return x
 
 
@@ -439,7 +556,8 @@ def _aggregates(A: sp.csr_matrix) -> np.ndarray:
 
 def _aggregation_hierarchy(A: sp.csr_matrix) -> list:
     """(P, R) per level: aggregates of the current level, tentative
-    piecewise-constant prolongator smoothed once by damped Jacobi."""
+    piecewise-constant prolongator smoothed once by damped Jacobi.  Only
+    R is stored; P is its transpose, a CSC view of the same arrays."""
     transfers = []
     while A.shape[0] > _MAX_COARSE:
         n = A.shape[0]
@@ -452,7 +570,7 @@ def _aggregation_hierarchy(A: sp.csr_matrix) -> list:
         T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, nc))
         P = (T - sp.diags(_jacobi_weights(A)) @ (A @ T)).tocsr()
         R = P.T.tocsr()
-        transfers.append((P, R))
+        transfers.append((R.T, R))
         A = _galerkin(A, P, R)
     return transfers
 
@@ -469,17 +587,21 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     reduced SPD system is solved by conjugate
     gradients down to a relative residual of ``rtol``.  The
     preconditioner is a smoothed-aggregation multigrid V-cycle.  The
-    reduced matrix and the V-cycle (its Galerkin coarse operators and
-    coarsest factor) belong to the matrix object: built on its first
-    solve, reused by later solves of the same object with any load,
-    freed with it.  Solving twice with one operator therefore costs one
-    set-up; a caller that wants nothing kept drops the matrix.
+    reduced matrix and the V-cycle built on it belong to the matrix
+    object: built on its first solve, reused by later solves of the same
+    object with any load, freed with it.  Solving twice with one
+    operator therefore costs one set-up; a caller that wants nothing
+    kept drops the matrix.  The V-cycle's coarse levels are the
+    assembler's, kept from an earlier matrix whose coefficient is
+    within ``_REBUILD_CONTRAST`` of this one's and rebuilt from this
+    matrix otherwise (``StiffnessAssembler.operators``).
 
     Raises
     ------
     ValueError
-        If the matrix has no assembler or not its pattern, or the mask
-        is not the boundary of the assembler's mesh.
+        If the matrix has no assembler or not its pattern, the mask is
+        not the boundary of the assembler's mesh, or the load or ``x0``
+        does not have the matrix's length.
     SolverFailure
         If CG stops without reaching the tolerance (the message reports
         the achieved relative residual), or if the multigrid set-up
@@ -497,6 +619,12 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
         raise ValueError("matrix pattern differs from its assembler's")
     if not np.array_equal(system.boundary, asm.mesh.boundary):
         raise ValueError("Dirichlet mask is not the matrix's mesh boundary")
+    n = K.shape[0]
+    for name, v in (("load", system.rhs), ("x0", x0)):
+        if v is not None and np.shape(v) != (n,):
+            raise ValueError(
+                f"{name} must have shape ({n},), got {np.shape(v)}"
+            )
     free = asm.free
     b = system.rhs[free]
     u = np.zeros(system.rhs.shape[0])
@@ -520,7 +648,10 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
 def release_operators(matrix: sp.csr_matrix) -> None:
     """Free the reduced matrix and V-cycle kept on a solved matrix.
 
-    The matrix stays usable; its next solve builds them again.
+    The matrix stays usable; its next solve builds them again, on the
+    coarse levels its assembler keeps then.  Those coarse levels are
+    the assembler's and are not freed here; a V-cycle that still uses
+    replaced ones keeps them alive until it is freed.
     """
     matrix.__dict__.pop("_dirichlet_operators", None)
 

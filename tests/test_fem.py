@@ -334,6 +334,18 @@ def test_solve_dirichlet_rejects_foreign_systems():
         solve_dirichlet(LinearSystem(altered, b, m.boundary))
     u = solve_dirichlet(LinearSystem(K, b, m.boundary))
     assert u[m.boundary].tolist() == [0.0] * int(m.boundary.sum())
+    # a load or a warm start of another length than the matrix's
+    sq = build_unit_square_mesh(8)
+    K8 = StiffnessAssembler(sq).assemble(1.0)
+    b8 = assemble_load(sq, 1.0)
+    assert K8.shape == (81, 81)
+    with pytest.raises(ValueError, match="load"):
+        solve_dirichlet(LinearSystem(K8, np.append(b8, [1.0, 1.0]),
+                                     sq.boundary))
+    # too short, it was read silently (79) or raised IndexError (40)
+    for x0 in (np.zeros(83), np.zeros(79), np.zeros(40)):
+        with pytest.raises(ValueError, match="x0"):
+            solve_dirichlet(LinearSystem(K8, b8, sq.boundary), x0=x0)
 
 
 def test_aggregation_that_cannot_halve_fails():
@@ -381,3 +393,51 @@ def test_one_matrix_serves_two_loads(monkeypatch):
     w2 = solve_dirichlet(LinearSystem(K, b2, m.boundary), x0=u1)
     assert len(builds) == 4
     assert np.array_equal(w2, u2)
+
+
+def test_coarse_levels_follow_the_coefficient(monkeypatch):
+    # the coarse levels are kept while the coefficient stays within the
+    # rebuild contrast of the one they were built from, and rebuilt once
+    # it moves farther; every solve is exact to the tolerance either way
+    import coeffopt.fem as fem
+    from scipy.sparse.linalg import spsolve
+
+    builds = []
+    real = fem._coarse_levels
+
+    def counting(A, transfers):
+        builds.append(A.shape)
+        return real(A, transfers)
+
+    monkeypatch.setattr(fem, "_coarse_levels", counting)
+    m = build_unit_disk_mesh(0.07)
+    rng = np.random.default_rng(7)
+    base = random_spd_columns(rng, m.n_cells)
+    bump = rng.uniform(0.0, 1.0, m.n_cells)
+    bump[:2] = 0.0, 1.0  # the contrast of base * (1 + t bump) is 1 + t
+    b = assemble_load(m, 1.0 + m.vertices[:, 0])
+    free = ~m.boundary
+    path = (0.0, 0.1, 0.2, 0.45, 0.7, 0.8)
+    assert 1.45 < fem._REBUILD_CONTRAST < 1.7
+    assert 1.8 / 1.7 < fem._REBUILD_CONTRAST
+
+    def run():
+        asm = StiffnessAssembler(m)
+        before = len(builds)
+        us, counts, u = [], [], None
+        for t in path:
+            a = base * (1.0 + t * bump)[:, None]
+            K = asm.assemble(a)
+            assert K.coefficient is a
+            u = solve_dirichlet(LinearSystem(K, b, m.boundary), x0=u)
+            ref = spsolve(K[free][:, free].tocsc(), b[free])
+            assert np.linalg.norm(u[free] - ref) <= 1e-8 * np.linalg.norm(ref)
+            us.append(u)
+            counts.append(len(builds) - before)
+        return us, counts
+
+    us, counts = run()
+    assert counts == [1, 1, 1, 1, 2, 2]
+    again, counts = run()
+    assert counts == [1, 1, 1, 1, 2, 2]
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(us, again))

@@ -8,10 +8,12 @@ coarsest multigrid level, so the aggregation hierarchy is exercised.
 import functools
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coeffopt.fem as fem
 from coeffopt.fem import (
     LinearSystem,
     StiffnessAssembler,
@@ -98,3 +100,55 @@ def test_repeated_solves_are_identical(case):
     m, _, K, b = system_for(case)
     system = LinearSystem(K, b, m.boundary)
     assert np.array_equal(solve_dirichlet(system), solve_dirichlet(system))
+
+
+def pencil_eigenvalues(a, b):
+    """Per cell, the eigenvalues of a x = lam b x by scipy.linalg.eigh;
+    a scalar coefficient s is the tensor s I."""
+    def dense(c):
+        c = np.column_stack([c, 0.0 * c, c]) if c.ndim == 1 else c
+        return c[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+
+    return np.array([scipy.linalg.eigh(x, y, eigvals_only=True)
+                     for x, y in zip(dense(a), dense(b))])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_closed_form_contrast_matches_eigh(seed):
+    m, _ = mesh_and_assembler("square", 4)
+    a = random_coefficient(m, seed, True)
+    b = random_coefficient(m, seed + 1, True)
+    low, high = fem._pencil_extremes(a, b)
+    ev = pencil_eigenvalues(a, b)
+    assert np.all(np.abs(low - ev[:, 0]) <= 1e-12 * ev[:, 0])
+    assert np.all(np.abs(high - ev[:, 1]) <= 1e-12 * ev[:, 1])
+    # tensor and scalar coefficients, alone or mixed
+    for x, y in ((a, b), (a[:, 0], b), (a, b[:, 2]), (a[:, 0], b[:, 2])):
+        ev = pencil_eigenvalues(x, y)
+        expected = ev[:, 1].max() / ev[:, 0].min()
+        assert abs(fem._contrast(x, y) - expected) <= 1e-12 * expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([("square", 24), ("disk", 0.07)]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_vcycle_is_symmetric_positive_definite(mesh_key, seed, kept):
+    # on the coarse levels built from the matrix's own coefficient, and on
+    # ones kept from a coefficient within the rebuild contrast of it; both
+    # meshes have more free vertices than the coarsest level
+    m, _ = mesh_and_assembler(*mesh_key)
+    asm = StiffnessAssembler(m)
+    a = random_coefficient(m, seed, True)
+    if kept:
+        asm.operators(asm.assemble(a))
+        reference = a
+        factor = np.random.default_rng(seed + 1).uniform(1.0, 1.3, m.n_cells)
+        a = a * factor[:, None]
+    A, M = asm.operators(asm.assemble(a))
+    assert asm._reference is (reference if kept else a)
+    V = np.column_stack([M.matvec(e) for e in np.eye(A.shape[0])])
+    assert np.abs(V - V.T).max() <= 1e-12 * np.abs(V).max()
+    x = np.random.default_rng(seed + 2).standard_normal(A.shape[0])
+    assert x @ (M @ x) > 0.0
+    assert np.linalg.eigvalsh(0.5 * (V + V.T))[0] > 0.0
