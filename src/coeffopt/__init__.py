@@ -14,13 +14,11 @@ from .fem import (
     StiffnessAssembler,
     assemble_load,
     assemble_point_load,
-    assemble_stiffness,
     cell_gradient,
     compliance,
     cost_functional,
     grad_norm_sq,
     solve_dirichlet,
-    solve_state,
 )
 from .gclosure import (
     clamp_spectrum,

@@ -12,25 +12,23 @@ and columns are eliminated and the free-dof system is solved by
 conjugate gradients preconditioned with a smoothed-aggregation
 multigrid V-cycle (Vanek, Mandel and Brezina, 1996), so the iteration
 count stays flat as the mesh is refined.  A ``StiffnessAssembler`` is
-the one per-mesh solver state: the free-dof pattern, the gather that
-fills it and the aggregation transfers live as long as it does.  Each
-matrix it assembles carries it and the coefficient it was assembled
-from, and ``solve_dirichlet`` takes the Dirichlet mask from there; a
-matrix built any other way, or paired with another mask, raises
+the one per-mesh solver state, and the only state kept across solves:
+the free-dof pattern, the gather that fills it, the aggregation
+transfers and the V-cycle's coarse levels live on it.  A solve builds
+the reduced matrix and the V-cycle's finest level (its smoother
+weights) from its matrix and frees them on return.  Each matrix the
+assembler builds carries it and the coefficient it was assembled from,
+and ``solve_dirichlet`` takes the Dirichlet mask from there; a matrix
+built any other way, or paired with another mask, raises
 ``ValueError``.
 
-The reduced matrix and the V-cycle's finest level (its smoother
-weights) belong to the assembled matrix: built on the matrix's first
-solve, reused by every later solve of the same matrix object and freed
-with it.  A caller that solves twice with one operator (a state and its
-adjoint) keeps the matrix; one that drops it keeps nothing.  The coarse
-levels - the Galerkin operators below the finest level, their smoother
-weights and the coarsest inverse - belong to the assembler, with the
+The coarse levels - the Galerkin operators below the finest level,
+their smoother weights and the coarsest inverse - are kept with the
 coefficient they were built from.  Descent iterates and line-search
-trials move the coefficient little, so a matrix's first solve rebuilds
-them from that matrix only when the spectral contrast between the two
-coefficients exceeds ``_REBUILD_CONTRAST``: the largest over the cells
-of the generalized eigenvalues of each cell's 2x2 pencil divided by the
+trials move the coefficient little, so a solve rebuilds them from its
+matrix only when the spectral contrast between the two coefficients
+exceeds ``_REBUILD_CONTRAST``: the largest over the cells of the
+generalized eigenvalues of each cell's 2x2 pencil divided by the
 smallest.  With m and M those extremes, m K_ref <= K <= M K_ref, so the
 kept coarse operators are within that factor, up to scale, of the
 matrix's own.  Each level smooths with two Jacobi sweeps before and two
@@ -63,13 +61,10 @@ __all__ = [
     "IllPosedCoefficientError",
     "SolverFailure",
     "StiffnessAssembler",
-    "assemble_stiffness",
     "assemble_load",
     "assemble_point_load",
     "LinearSystem",
     "solve_dirichlet",
-    "release_operators",
-    "solve_state",
     "cell_gradient",
     "grad_norm_sq",
     "compliance",
@@ -92,8 +87,12 @@ class SolverFailure(RuntimeError):
     """The linear solver stopped before reaching its tolerance."""
 
 
-def _as_tensor_columns(mesh: Mesh, coeff: np.ndarray) -> np.ndarray:
-    """Normalize a coefficient to (a11, a12, a22) columns, validated."""
+def _tensor_parts(mesh: Mesh, coeff):
+    """(a11, a12, a22) of a validated scalar or tensor coefficient.
+
+    A scalar field gives (a, 0.0, a): a12 is the float 0.0, not a
+    column, and a constant is widened to one value per cell.
+    """
     coeff = np.asarray(coeff, dtype=float)
     nt = mesh.n_cells
     if coeff.ndim == 0:
@@ -105,21 +104,20 @@ def _as_tensor_columns(mesh: Mesh, coeff: np.ndarray) -> np.ndarray:
             raise IllPosedCoefficientError(
                 f"scalar coefficient on cell {c} is {coeff[c]!r}"
             )
-        cols = np.zeros((nt, 3))
-        cols[:, 0] = coeff
-        cols[:, 2] = coeff
-        return cols
+        return coeff, 0.0, coeff
     if coeff.shape == (nt, 3):
         a11, a12, a22 = coeff.T
         det = a11 * a22 - a12 * a12
-        bad = ~np.isfinite(coeff).all(axis=1) | (a11 <= 0.0) | (det <= 0.0)
+        # column by column: np.isfinite(coeff).all(axis=1) is 10x slower
+        finite = np.isfinite(a11) & np.isfinite(a12) & np.isfinite(a22)
+        bad = ~finite | (a11 <= 0.0) | (det <= 0.0)
         if bad.any():
             c = int(np.flatnonzero(bad)[0])
             raise IllPosedCoefficientError(
                 f"tensor coefficient on cell {c} is not positive definite: "
                 f"{coeff[c]}"
             )
-        return coeff
+        return a11, a12, a22
     raise ValueError(
         f"coefficient must have shape ({nt},) or ({nt}, 3), got {coeff.shape}"
     )
@@ -146,15 +144,17 @@ class StiffnessAssembler:
     mesh, so they are computed once.  Repeated assemblies (every
     optimizer iteration) reduce to the six upper local entries per cell
     and one deterministic scatter; each entry lands in both of its
-    slots, so the matrix is symmetric bit for bit.  The aggregation
-    transfers are built on the first solve of a matrix from this
-    assembler and reused by every later one.  The V-cycle's coarse
-    levels and the coefficient they were built from are kept here too,
-    across matrices; ``operators`` rebuilds them only when a matrix's
-    coefficient has moved farther than ``_REBUILD_CONTRAST`` from that
-    one.  So the solves of one assembler, and hence its results in the
-    last digits, depend on the sequence of coefficients it has solved
-    with; a fresh assembler repeats them bit for bit.
+    slots, so the matrix is symmetric bit for bit.
+
+    What persists across solves lives here and nowhere else: the
+    aggregation transfers, built on the first solve and reused by every
+    later one, and the V-cycle's coarse levels with the coefficient
+    they were built from, which ``operators`` rebuilds only when a
+    matrix's coefficient has moved farther than ``_REBUILD_CONTRAST``
+    from that one.  A solve builds its finest level and frees it on
+    return.  So the solves of one assembler, and hence its results in
+    the last digits, depend on the sequence of coefficients it has
+    solved with; a fresh assembler repeats them bit for bit.
     """
 
     def __init__(self, mesh: Mesh):
@@ -198,7 +198,7 @@ class StiffnessAssembler:
         self._transfers = None  # (P, R) per level, from the first solve
         # the V-cycle's coarse levels, ([(Galerkin operator, smoother
         # weights) per level >= 1], coarsest inverse), and the
-        # coefficient they were built from; kept across matrices
+        # _tensor_parts of the coefficient they were built from
         self._coarse = None
         self._reference = None
 
@@ -207,7 +207,7 @@ class StiffnessAssembler:
         assembler as its ``assembler`` attribute for ``solve_dirichlet``
         and the coefficient, in the shape given, as ``coefficient``."""
         mesh = self.mesh
-        cols = _as_tensor_columns(mesh, coeff)
+        parts = _tensor_parts(mesh, coeff)
         g = mesh.cell_basis_gradients
         nt = mesh.n_cells
         loc = np.empty((nt, 9))
@@ -222,7 +222,7 @@ class StiffnessAssembler:
         for start in range(0, nt, _CELL_BLOCK):
             cells = slice(start, start + _CELL_BLOCK)
             gc, areas = g[cells], mesh.cell_areas[cells]
-            a11, a12, a22 = cols[cells].T
+            a11, a12, a22 = (p[cells] if np.ndim(p) else p for p in parts)
             fx, fy, entry, prod = work[:, :areas.size]
             for i, pairs in _UPPER_BY_FIRST:
                 gx, gy = gc[:, i, 0], gc[:, i, 1]
@@ -246,47 +246,43 @@ class StiffnessAssembler:
             (vals, self._indices.copy(), self._indptr.copy()), shape=(nv, nv)
         )
         K.assembler = self
-        # not a copy, and a scalar one not widened to (n_cells, 3)
+        # not a copy, and a constant one not widened
         K.coefficient = np.asarray(coeff, dtype=float)
         return K
 
     def operators(self, matrix: sp.csr_matrix):
-        """(A, M): the reduced (free-dof) matrix and its V-cycle.
+        """(A, M): the reduced (free-dof) matrix and its V-cycle, built
+        afresh on every call.
 
-        Both are built on the matrix's first solve and kept on the
-        matrix object, so they live exactly as long as it does; the
-        matrix and its coefficient must not be modified after it has
-        been solved with.  The finest level of the V-cycle comes from
-        the matrix itself.  Its coarse levels are the assembler's: they
-        are rebuilt from this matrix only when its coefficient is more
-        than ``_REBUILD_CONTRAST`` apart from the one they were built
-        from (``_contrast``), and kept otherwise.
+        The finest level of the V-cycle comes from the matrix itself.
+        Its coarse levels are the assembler's: they are rebuilt from
+        this matrix only when its coefficient is more than
+        ``_REBUILD_CONTRAST`` apart from the one they were built from
+        (``_contrast``), and kept otherwise.  The assembler keeps that
+        coefficient without copying it, so it must not be modified in
+        place after a solve.
         """
-        ops = getattr(matrix, "_dirichlet_operators", None)
-        if ops is None:
-            n = self.free.size
-            A = sp.csr_matrix(
-                (matrix.data[self._gather], self._free_indices,
-                 self._free_indptr),
-                shape=(n, n),
+        n = self.free.size
+        A = sp.csr_matrix(
+            (matrix.data[self._gather], self._free_indices, self._free_indptr),
+            shape=(n, n),
+        )
+        diag = A.diagonal()
+        if not (diag > 0.0).all():
+            i = int(np.flatnonzero(diag <= 0.0)[0])
+            raise IllPosedCoefficientError(
+                f"nonpositive stiffness diagonal at reduced index {i}"
             )
-            diag = A.diagonal()
-            if not (diag > 0.0).all():
-                i = int(np.flatnonzero(diag <= 0.0)[0])
-                raise IllPosedCoefficientError(
-                    f"nonpositive stiffness diagonal at reduced index {i}"
-                )
-            if self._transfers is None:
-                self._transfers = _aggregation_hierarchy(A)
-            coeff = matrix.coefficient
-            # with no coarse level the coarsest inverse is A's own
-            if (not self._transfers or self._coarse is None
-                    or _contrast(coeff, self._reference) > _REBUILD_CONTRAST):
-                self._coarse = None  # freed before the new one is built
-                self._coarse = _coarse_levels(A, self._transfers)
-                self._reference = coeff
-            ops = matrix._dirichlet_operators = (A, self.preconditioner(A))
-        return ops
+        if self._transfers is None:
+            self._transfers = _aggregation_hierarchy(A)
+        parts = _tensor_parts(self.mesh, matrix.coefficient)
+        # with no coarse level the coarsest inverse is A's own
+        if (not self._transfers or self._coarse is None
+                or _contrast(parts, self._reference) > _REBUILD_CONTRAST):
+            self._coarse = None  # freed before the new one is built
+            self._coarse = _coarse_levels(A, self._transfers)
+            self._reference = parts
+        return A, self.preconditioner(A)
 
     def preconditioner(self, A: sp.csr_matrix) -> LinearOperator:
         """Symmetric V-cycle for the reduced matrix A, as an SPD operator:
@@ -301,11 +297,6 @@ class StiffnessAssembler:
                                               b, 0),
             dtype=A.dtype,
         )
-
-
-def assemble_stiffness(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
-    """Stiffness matrix for a per-cell scalar or tensor coefficient."""
-    return StiffnessAssembler(mesh).assemble(coeff)
 
 
 def assemble_point_load(mesh: Mesh, location, magnitude: float = 1.0):
@@ -446,23 +437,16 @@ def _coarse_levels(A: sp.csr_matrix, transfers):
     return levels, Linv.T @ Linv
 
 
-def _tensor_parts(coeff: np.ndarray):
-    """(a11, a12, a22) of a validated scalar or tensor coefficient."""
-    if coeff.ndim == 2:
-        return coeff[:, 0], coeff[:, 1], coeff[:, 2]
-    return coeff, 0.0, coeff
-
-
-def _pencil_extremes(a: np.ndarray, b: np.ndarray):
+def _pencil_extremes(a, b):
     """Per cell, the smallest and largest eigenvalue lam of
-    a x = lam b x, a and b validated scalar or tensor coefficients.
+    a x = lam b x, a and b the ``_tensor_parts`` of two coefficients.
 
     Closed form: with b = L L^T (Cholesky), the eigenvalues are those of
     the symmetric C = L^-1 a L^-T, whose spread hypot((c11 - c22) / 2,
     c12) has no cancellation; the smaller is det(C) / (larger).
     """
-    a11, a12, a22 = _tensor_parts(a)
-    b11, b12, b22 = _tensor_parts(b)
+    a11, a12, a22 = a
+    b11, b12, b22 = b
     det_b = b11 * b22 - b12 * b12
     r = b12 / b11
     c11 = a11 / b11
@@ -473,14 +457,16 @@ def _pencil_extremes(a: np.ndarray, b: np.ndarray):
     return low, high
 
 
-def _contrast(coeff: np.ndarray, reference: np.ndarray) -> float:
-    """max lam / min lam over the cells' pencils (coeff, reference).
+def _contrast(coeff, reference) -> float:
+    """max lam / min lam over the cells' pencils (coeff, reference),
+    both given as ``_tensor_parts``.
 
     With m and M these extremes, m K_ref <= K <= M K_ref for the
     stiffness matrices, and so for their Galerkin operators too.
     """
-    if coeff.ndim < 2 and reference.ndim < 2:
-        ratio = coeff / reference
+    if np.ndim(coeff[1]) == 0 and np.ndim(reference[1]) == 0:
+        # two scalar fields: a12 is 0.0 in both
+        ratio = coeff[0] / reference[0]
         return float(np.max(ratio) / np.min(ratio))
     low, high = _pencil_extremes(coeff, reference)
     return float(np.max(high) / np.min(low))
@@ -586,15 +572,12 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     gathering the free-dof block straight from the matrix data, and the
     reduced SPD system is solved by conjugate
     gradients down to a relative residual of ``rtol``.  The
-    preconditioner is a smoothed-aggregation multigrid V-cycle.  The
-    reduced matrix and the V-cycle built on it belong to the matrix
-    object: built on its first solve, reused by later solves of the same
-    object with any load, freed with it.  Solving twice with one
-    operator therefore costs one set-up; a caller that wants nothing
-    kept drops the matrix.  The V-cycle's coarse levels are the
-    assembler's, kept from an earlier matrix whose coefficient is
-    within ``_REBUILD_CONTRAST`` of this one's and rebuilt from this
-    matrix otherwise (``StiffnessAssembler.operators``).
+    preconditioner is a smoothed-aggregation multigrid V-cycle.  What
+    persists lives on the assembler: its coarse levels are kept from an
+    earlier matrix whose coefficient is within ``_REBUILD_CONTRAST`` of
+    this one's and rebuilt from this matrix otherwise
+    (``StiffnessAssembler.operators``).  The reduced matrix and the
+    V-cycle's finest level are built by this solve and freed on return.
 
     Raises
     ------
@@ -643,25 +626,6 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
         )
     u[free] = x
     return u
-
-
-def release_operators(matrix: sp.csr_matrix) -> None:
-    """Free the reduced matrix and V-cycle kept on a solved matrix.
-
-    The matrix stays usable; its next solve builds them again, on the
-    coarse levels its assembler keeps then.  Those coarse levels are
-    the assembler's and are not freed here; a V-cycle that still uses
-    replaced ones keeps them alive until it is freed.
-    """
-    matrix.__dict__.pop("_dirichlet_operators", None)
-
-
-def solve_state(mesh: Mesh, coeff, f, rtol: float = 1e-10,
-                x0: np.ndarray | None = None) -> np.ndarray:
-    """Assemble and solve -div(a grad u) = f, u = 0 on the boundary."""
-    K = StiffnessAssembler(mesh).assemble(coeff)
-    b = assemble_load(mesh, f)
-    return solve_dirichlet(LinearSystem(K, b, mesh.boundary), rtol=rtol, x0=x0)
 
 
 def cell_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -39,7 +39,6 @@ from .fem import (
     cell_gradient,
     cost_functional,
     grad_norm_sq,
-    release_operators,
     solve_dirichlet,
 )
 from .gclosure import (
@@ -73,7 +72,8 @@ class DescentConfig:
     """Stopping rule and initial design of a driver run.
 
     tol is the relative-change stop, max_iters the iteration cap, and
-    a0 (scalar descent) and t0 (fraction of alpha) the initial design.
+    a0 the initial design of the scalar descent; the relaxed drivers
+    start from the fraction t = 0.5 of alpha in every cell (``_T0``).
     The line search has no settings (see ``_backtrack``); solves use
     the ``solve_dirichlet`` tolerance.
     """
@@ -81,15 +81,12 @@ class DescentConfig:
     tol: float = 1e-6
     max_iters: int = 2000
     a0: float | np.ndarray | None = None
-    t0: float = 0.5
 
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (0.0 <= self.t0 <= 1.0):
-            raise ValueError("t0 must lie in [0, 1]")
 
 
 @dataclass
@@ -136,6 +133,8 @@ class LinearCost:
         return assemble_load(mesh, self.weight)
 
 
+# the relaxed drivers' initial fraction of alpha, in every cell
+_T0 = 0.5
 # the line search's largest step multiplier and its trial budget
 _STEP_CAP = 1.0
 _MAX_TRIALS = 31
@@ -161,11 +160,9 @@ def _backtrack(trial_at, J: float, step: float):
     ``trial_at(step)`` returns None when the step does not move the
     iterate, which ends the search, else (J_t, trial) with the trial's
     state solved.  A ``SolverFailure`` or a non-finite J_t rejects the
-    step.  A rejected trial is dropped before the next is built, so no
-    two trials hold solver set-ups at once.  Returns (hit, moved): hit
-    is (step, J_t, trial) for the accepted trial or None, and moved is
-    False only when the search ended on a step that does not move the
-    iterate.
+    step.  Returns (hit, moved): hit is (step, J_t, trial) for the
+    accepted trial or None, and moved is False only when the search
+    ended on a step that does not move the iterate.
     """
     for _ in range(_MAX_TRIALS):
         try:
@@ -301,13 +298,13 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     load = assemble_load(mesh, f)
     nu_star_num = np.sqrt(gamma * alpha * beta)
 
-    t = np.full(mesh.n_cells, float(config.t0))
+    t = np.full(mesh.n_cells, _T0)
     report = OptReport()
     u = None
     J_prev = None
     for k in range(config.max_iters + 1):
         mu, nu = lamination_means(t, alpha, beta)
-        # the matrix is not kept past its solve, nor its solver set-up
+        # the matrix is not kept past its solve
         u = _solve(asm.assemble(nu), load, x0=u)
         gsq = grad_norm_sq(mesh, u)
         J = 0.5 * float((mesh.cell_areas * nu) @ gsq) - float(load @ u) \
@@ -379,20 +376,17 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     Returns
     (t, A, u, p, report); A in (a11, a12, a22) column storage.
 
-    Each coefficient costs one solver set-up.  When the adjoint load
-    equals the state load bit for bit (a ``LinearCost`` weight equal to
-    f, the compliance case), p is u itself and no adjoint is solved.
-    In the loop that is exactly what the solve would return: it would
-    repeat the state's solve from the same warm start.  (The final
-    adjoint of a run whose last iteration accepts no step is u as well,
-    where a re-solve from x0 = u could move it by a CG step inside the
-    tolerance.)  Otherwise the adjoint is solved with the assembled
-    matrix of the accepted trial, or of the initial state, whose
-    reduced matrix and V-cycle that solve already built.  The matrix is
-    dropped after the adjoint solve, so each trial solve runs with no
-    other multigrid set-up alive; a trial set aside while the fallback
-    step is tried keeps its matrix but frees its set-up, which its
-    adjoint then rebuilds.
+    When the adjoint load equals the state load bit for bit (a
+    ``LinearCost`` weight equal to f, the compliance case), p is u
+    itself and no adjoint is solved.  In the loop that is exactly what
+    the solve would return: it would repeat the state's solve from the
+    same warm start.  (The final adjoint of a run whose last iteration
+    accepts no step is u as well, where a re-solve from x0 = u could
+    move it by a CG step inside the tolerance.)  Otherwise the adjoint
+    is solved with the assembled matrix of the accepted trial, or of
+    the initial state; the matrix is dropped after that solve, so the
+    final adjoint of a run whose last iteration accepts no step
+    assembles it again.
     """
     config = config or DescentConfig()
     asm = StiffnessAssembler(mesh)
@@ -421,7 +415,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
         out[:, 2] = vals
         return out
 
-    t = np.full(mesh.n_cells, float(config.t0))
+    t = np.full(mesh.n_cells, _T0)
     mu, nu = lamination_means(t, alpha, beta)
     A = tensor_from_iso(nu)
     K = asm.assemble(A)
@@ -434,7 +428,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     eps = _STEP_CAP
     for _ in range(config.max_iters):
         p = adjoint(K, A, u, p)
-        K = None  # freed before the trial solves build their own
+        K = None  # not kept through the trials, which assemble their own
         gu = cell_gradient(mesh, u)
         gu_s = _smoothed_cell_gradient(mesh, u)
         if p is u:
@@ -479,18 +473,14 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
             # fraction update blocked or exhausted; a move toward the
             # Hamiltonian maximizer inside the current box still
             # descends and realizes the laminate at fixed fraction
-            if hit is not None:
-                release_operators(hit[2][-1])  # one set-up alive at a time
             alt, _ = _backtrack(partial(trial_at, t, a_box), J, _STEP_CAP)
             if alt is not None and (hit is None or alt[1] < hit[1]):
                 hit = alt
                 used_fallback = True
-            del alt
         if hit is None:
             report.stagnated = True
             break
         eps_used, J_t, (t_new, a_new, mu_n, nu_n, u_t, K) = hit
-        del hit  # K alone holds the accepted set-up, until the adjoint
 
         lam1, lam2, _, _ = eig_sym_2x2(a_new)
         if np.any(lam1 < nu_n - 1e-10) or np.any(lam2 > mu_n + 1e-10):

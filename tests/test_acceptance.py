@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coeffopt.fem import cell_gradient, solve_state
+from coeffopt.fem import (
+    LinearSystem,
+    StiffnessAssembler,
+    assemble_load,
+    cell_gradient,
+    solve_dirichlet,
+)
 from coeffopt.gclosure import (
     eig_sym_2x2,
     is_admissible,
@@ -122,7 +128,9 @@ def test_criterion_01_fem_convergence_rate(capsys):
         x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
         exact = np.sin(np.pi * x) * np.sin(np.pi * y)
         f = 2.0 * np.pi ** 2 * exact
-        u = solve_state(mesh, np.ones(mesh.n_cells), f, rtol=1e-12)
+        K = StiffnessAssembler(mesh).assemble(np.ones(mesh.n_cells))
+        system = LinearSystem(K, assemble_load(mesh, f), mesh.boundary)
+        u = solve_dirichlet(system, rtol=1e-12)
         errs[n] = l2_vertices(mesh, u, exact) * math.sqrt(
             float(mesh.cell_areas @ (exact ** 2)[mesh.triangles].mean(axis=1)))
     ratio = errs[32] / errs[64]

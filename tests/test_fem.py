@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,17 +12,22 @@ from coeffopt.fem import (
     StiffnessAssembler,
     assemble_load,
     assemble_point_load,
-    assemble_stiffness,
     cell_gradient,
     compliance,
     cost_functional,
     grad_norm_sq,
-    release_operators,
     solve_dirichlet,
-    solve_state,
 )
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from coeffopt.penalty import PenaltySpec
+
+
+def fresh_solve(mesh, coeff, f, **kwargs):
+    """u with -div(a grad u) = f, u = 0 on the boundary, assembled and
+    solved on a fresh assembler."""
+    K = StiffnessAssembler(mesh).assemble(coeff)
+    system = LinearSystem(K, assemble_load(mesh, f), mesh.boundary)
+    return solve_dirichlet(system, **kwargs)
 
 
 def hand_assembled(mesh, a):
@@ -40,7 +47,7 @@ def test_assembly_matches_hand_loop():
     m = build_unit_square_mesh(2)
     rng = np.random.default_rng(3)
     a = rng.uniform(0.5, 2.0, m.n_cells)
-    K = assemble_stiffness(m, a).toarray()
+    K = StiffnessAssembler(m).assemble(a).toarray()
     assert np.allclose(K, hand_assembled(m, a), atol=1e-14)
 
 
@@ -101,7 +108,7 @@ def test_assembly_bitwise_symmetric():
     m = build_unit_disk_mesh(0.2)
     rng = np.random.default_rng(11)
     a = rng.uniform(0.1, 5.0, m.n_cells)
-    K = assemble_stiffness(m, a)
+    K = StiffnessAssembler(m).assemble(a)
     assert (K - K.T).nnz == 0
 
 
@@ -112,16 +119,16 @@ def test_scalar_equals_isotropic_tensor():
     iso = np.zeros((m.n_cells, 3))
     iso[:, 0] = a
     iso[:, 2] = a
-    Ks = assemble_stiffness(m, a)
-    Kt = assemble_stiffness(m, iso)
+    Ks = StiffnessAssembler(m).assemble(a)
+    Kt = StiffnessAssembler(m).assemble(iso)
     assert (Ks != Kt).nnz == 0
 
 
 def test_assembly_linear_in_coefficient():
     m = build_unit_square_mesh(3)
     a = np.full(m.n_cells, 0.75)
-    K1 = assemble_stiffness(m, a)
-    K2 = assemble_stiffness(m, 2.0 * a)
+    K1 = StiffnessAssembler(m).assemble(a)
+    K2 = StiffnessAssembler(m).assemble(2.0 * a)
     assert np.allclose(K2.toarray(), 2.0 * K1.toarray(), rtol=1e-15)
 
 
@@ -130,7 +137,7 @@ def test_rejects_nonpositive_scalar():
     a = np.ones(m.n_cells)
     a[3] = 0.0
     with pytest.raises(IllPosedCoefficientError):
-        assemble_stiffness(m, a)
+        StiffnessAssembler(m).assemble(a)
 
 
 def test_rejects_indefinite_tensor():
@@ -140,13 +147,13 @@ def test_rejects_indefinite_tensor():
     t[:, 2] = 1.0
     t[4, 1] = 2.0  # det = 1 - 4 < 0
     with pytest.raises(IllPosedCoefficientError):
-        assemble_stiffness(m, t)
+        StiffnessAssembler(m).assemble(t)
 
 
 def test_rejects_bad_coefficient_shape():
     m = build_unit_square_mesh(2)
     with pytest.raises(ValueError):
-        assemble_stiffness(m, np.ones(m.n_cells + 1))
+        StiffnessAssembler(m).assemble(np.ones(m.n_cells + 1))
 
 
 def test_load_integrates_constants():
@@ -199,21 +206,21 @@ def test_load_dispatch_point_load():
 def test_poisson_center_value():
     # -lap u = 1 on the unit square; u(center) = 0.07367135...
     m = build_unit_square_mesh(32)
-    u = solve_state(m, np.ones(m.n_cells), 1.0, rtol=1e-12)
+    u = fresh_solve(m, np.ones(m.n_cells), 1.0, rtol=1e-12)
     k = int(np.argmin(np.abs(m.vertices - 0.5).sum(axis=1)))
     assert abs(u[k] - 0.0736713) < 5e-4
 
 
 def test_zero_rhs_returns_zero():
     m = build_unit_square_mesh(4)
-    u = solve_state(m, np.ones(m.n_cells), 0.0)
+    u = fresh_solve(m, np.ones(m.n_cells), 0.0)
     assert np.array_equal(u, np.zeros(m.n_vertices))
 
 
 def test_solver_failure_on_unreachable_tolerance():
     m = build_unit_square_mesh(4)
     with pytest.raises(SolverFailure):
-        solve_state(m, np.ones(m.n_cells), 1.0, rtol=1e-300)
+        fresh_solve(m, np.ones(m.n_cells), 1.0, rtol=1e-300)
 
 
 def test_linear_system_rejects_nonfinite_rhs():
@@ -226,8 +233,8 @@ def test_linear_system_rejects_nonfinite_rhs():
 def test_warm_start_agrees_with_cold():
     m = build_unit_square_mesh(8)
     a = np.ones(m.n_cells)
-    u0 = solve_state(m, a, 1.0, rtol=1e-12)
-    u1 = solve_state(m, a, 1.0, rtol=1e-12, x0=u0)
+    u0 = fresh_solve(m, a, 1.0, rtol=1e-12)
+    u1 = fresh_solve(m, a, 1.0, rtol=1e-12, x0=u0)
     assert np.linalg.norm(u1 - u0) / np.linalg.norm(u0) < 1e-11
 
 
@@ -243,8 +250,8 @@ def test_cell_gradient_exact_for_affine():
 def test_compliance_matches_quadratic_form():
     m = build_unit_square_mesh(8)
     a = np.full(m.n_cells, 1.3)
-    u = solve_state(m, a, 1.0, rtol=1e-12)
-    K = assemble_stiffness(m, a)
+    u = fresh_solve(m, a, 1.0, rtol=1e-12)
+    K = StiffnessAssembler(m).assemble(a)
     assert abs(compliance(m, 1.0, u) - u @ (K @ u)) < 1e-10
 
 
@@ -254,7 +261,7 @@ def test_assembler_reuse_bitwise():
     a = np.linspace(1.0, 2.0, m.n_cells)
     K1 = asm.assemble(a)
     K2 = asm.assemble(a)
-    K3 = assemble_stiffness(m, a)
+    K3 = StiffnessAssembler(m).assemble(a)
     assert (K1 != K2).nnz == 0
     assert (K1 != K3).nnz == 0
 
@@ -262,7 +269,7 @@ def test_assembler_reuse_bitwise():
 def test_cost_functional_half_flag():
     m = build_unit_square_mesh(4)
     a = np.full(m.n_cells, 1.5)
-    u = solve_state(m, a, 1.0)
+    u = fresh_solve(m, a, 1.0)
     load = assemble_load(m, 1.0)
     full = cost_functional(m, load, u, a, PenaltySpec("quadratic"))
     half = cost_functional(m, load, u, a, PenaltySpec("quadratic", half=True))
@@ -282,8 +289,8 @@ def test_cost_functional_rejects_out_of_domain():
 def test_solve_deterministic():
     m = build_unit_disk_mesh(0.2)
     a = np.linspace(1.0, 2.0, m.n_cells)
-    u1 = solve_state(m, a, 1.0)
-    u2 = solve_state(m, a, 1.0)
+    u1 = fresh_solve(m, a, 1.0)
+    u2 = fresh_solve(m, a, 1.0)
     assert np.array_equal(u1, u2)
 
 
@@ -309,7 +316,7 @@ def test_multigrid_iterations_stay_flat(monkeypatch):
     for n in (32, 64, 128):
         m = build_unit_square_mesh(n)
         a = np.linspace(1.0, 2.0, m.n_cells)
-        solve_state(m, a, 1.0)
+        fresh_solve(m, a, 1.0)
     assert max(counts) <= 25, counts
 
 
@@ -357,9 +364,9 @@ def test_aggregation_that_cannot_halve_fails():
 
 
 def test_one_matrix_serves_two_loads(monkeypatch):
-    # a matrix keeps its reduced form and V-cycle from its first solve;
-    # a second solve with another load and a warm start returns what
-    # the same solve on a freshly assembled matrix returns
+    # a second solve of one matrix with another load and a warm start
+    # returns what the same solve on a freshly assembled matrix returns;
+    # every solve builds its own V-cycle
     import coeffopt.fem as fem
 
     builds = []
@@ -380,19 +387,45 @@ def test_one_matrix_serves_two_loads(monkeypatch):
     K = asm.assemble(a)
     u1 = solve_dirichlet(LinearSystem(K, b1, m.boundary), x0=x0)
     u2 = solve_dirichlet(LinearSystem(K, b2, m.boundary), x0=u1)
-    assert len(builds) == 1
+    assert len(builds) == 2
     v1 = solve_dirichlet(LinearSystem(asm.assemble(a), b1, m.boundary), x0=x0)
     v2 = solve_dirichlet(LinearSystem(asm.assemble(a), b2, m.boundary), x0=v1)
-    assert len(builds) == 3
+    assert len(builds) == 4
     assert np.array_equal(u1, v1)
     assert np.array_equal(u2, v2)
     assert not np.array_equal(u1, u2)
 
-    # a released matrix builds its set-up again, with the same result
-    release_operators(K)
+    # solving the matrix again repeats its result
     w2 = solve_dirichlet(LinearSystem(K, b2, m.boundary), x0=u1)
-    assert len(builds) == 4
+    assert len(builds) == 5
     assert np.array_equal(w2, u2)
+
+
+def test_solve_keeps_nothing_on_the_matrix(monkeypatch):
+    # the solver state is the assembler's: a solve leaves the matrix as
+    # assembled and frees its V-cycle on return
+    import coeffopt.fem as fem
+
+    vcycles = []
+    real = fem.StiffnessAssembler.preconditioner
+
+    def counting(self, A):
+        M = real(self, A)
+        vcycles.append(weakref.ref(M))
+        return M
+
+    monkeypatch.setattr(fem.StiffnessAssembler, "preconditioner", counting)
+    m = build_unit_disk_mesh(0.1)
+    asm = StiffnessAssembler(m)
+    b = assemble_load(m, 1.0)
+    plain = set(vars(sp.csr_matrix(sp.eye(m.n_vertices))))
+    for coeff in (np.linspace(1.0, 3.0, m.n_cells),
+                  random_spd_columns(np.random.default_rng(3), m.n_cells)):
+        K = asm.assemble(coeff)
+        solve_dirichlet(LinearSystem(K, b, m.boundary))
+        assert set(vars(K)) == plain | {"assembler", "coefficient"}
+    assert len(vcycles) == 2
+    assert [r() for r in vcycles] == [None, None]
 
 
 def test_coarse_levels_follow_the_coefficient(monkeypatch):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from coeffopt import fem, optimize
-from coeffopt.fem import (SolverFailure, assemble_load, grad_norm_sq,
-                          solve_state)
+from coeffopt.fem import (LinearSystem, SolverFailure, StiffnessAssembler,
+                          assemble_load, grad_norm_sq, solve_dirichlet)
 from coeffopt.gclosure import eig_sym_2x2, lamination_means
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from coeffopt.oracles import counterexample_fields, ex11_ball
@@ -28,8 +28,6 @@ def test_config_validation():
         DescentConfig(tol=float("nan"))
     with pytest.raises(ValueError):
         DescentConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        DescentConfig(t0=-0.1)
 
 
 def test_linear_cost():
@@ -169,7 +167,9 @@ def test_energy_gamma_to_zero_limit():
     t, _, u, rep = energy_relaxed_solve(m, 1.0, 1.0, 2.0, 1e-8)
     assert rep.converged
     assert t.min() > 1.0 - 1e-3
-    u_ref = solve_state(m, np.ones(m.n_cells), 1.0, rtol=1e-12)
+    K = StiffnessAssembler(m).assemble(np.ones(m.n_cells))
+    u_ref = solve_dirichlet(
+        LinearSystem(K, assemble_load(m, 1.0), m.boundary), rtol=1e-12)
     assert np.abs(u - u_ref).max() / np.abs(u_ref).max() < 1e-4
 
 
@@ -264,7 +264,8 @@ def test_initial_coefficient_override():
     cfg = DescentConfig(a0=2.0, max_iters=1)
     _, _, rep = compliance_descent(m, 1.0, spec, cfg)
     # the first recorded cost must reflect the requested start
-    u0 = solve_state(m, np.full(m.n_cells, 2.0), 1.0)
+    K = StiffnessAssembler(m).assemble(np.full(m.n_cells, 2.0))
+    u0 = solve_dirichlet(LinearSystem(K, assemble_load(m, 1.0), m.boundary))
     J0 = float(assemble_load(m, 1.0) @ u0) + float(
         m.cell_areas @ (np.full(m.n_cells, 2.0) ** 2 / 2.0))
     assert abs(rep.costs[0] - J0) < 1e-9
@@ -375,11 +376,9 @@ class _SolverLog:
         self.live_at_assembly = []  # V-cycles alive as each assembly starts
         self.builds = 0
         self.state_matrices = []  # weak references
-        self.released = []
         self.vcycles = []
         solve, assemble = optimize.solve_dirichlet, fem.StiffnessAssembler.assemble
         precond = fem.StiffnessAssembler.preconditioner
-        release = optimize.release_operators
 
         def alive(refs, obj=None):
             return [r for r in refs if r() is not None
@@ -391,7 +390,6 @@ class _SolverLog:
             K = system.matrix
             rec = _Solve(state=system.rhs is self.load, warm=x0 is not None,
                          reused=bool(alive(self.state_matrices, K)),
-                         released=bool(alive(self.released, K)),
                          live_vcycles=len(alive(self.vcycles)))
             before = self.builds
             u = solve(system, rtol=rtol, x0=x0)
@@ -412,16 +410,11 @@ class _SolverLog:
             self.vcycles.append(weakref.ref(M))
             return M
 
-        def counting_release(K):
-            self.released.append(weakref.ref(K))
-            release(K)
-
         monkeypatch.setattr(optimize, "solve_dirichlet", counting_solve)
         monkeypatch.setattr(fem.StiffnessAssembler, "assemble",
                             counting_assemble)
         monkeypatch.setattr(fem.StiffnessAssembler, "preconditioner",
                             counting_precond)
-        monkeypatch.setattr(optimize, "release_operators", counting_release)
 
 
 @dataclass
@@ -429,7 +422,6 @@ class _Solve:
     state: bool  # the initial solve or a trial: the descent's load
     warm: bool
     reused: bool  # its matrix is one an earlier state solve used
-    released: bool  # ... and the descent freed that matrix's set-up
     live_vcycles: int  # V-cycles alive as the solve starts
     builds: int = 0  # V-cycles built during the solve
 
@@ -462,13 +454,9 @@ def test_tilted_adjoint_reuses_the_accepted_operator(monkeypatch, h):
     # adjoints assemble nothing: each solves with the matrix of an
     # earlier state solve
     assert log.assembled == len(state)
-    assert all(s.builds == 1 for s in state)
     assert all(s.reused for s in adjoints)
-    # an adjoint rebuilds its V-cycle only when the descent freed it to
-    # try a fallback step and the set-aside trial then won
-    assert all(s.builds == int(s.released) for s in adjoints)
-    # one set-up alive at a time: a trial assembles and solves with no
-    # other V-cycle alive, an adjoint solves with at most its own
+    # every solve builds its own V-cycle and frees it on return, so no
+    # V-cycle is alive as an assembly or a solve starts
+    assert all(s.builds == 1 for s in log.solves)
     assert log.live_at_assembly == [0] * log.assembled
-    assert all(s.live_vcycles == 0 for s in state)
-    assert all(s.live_vcycles <= 1 for s in adjoints)
+    assert all(s.live_vcycles == 0 for s in log.solves)
