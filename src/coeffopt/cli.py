@@ -48,37 +48,31 @@ EXPERIMENTS = (
 )
 DOMAINS = ("square", "disk")
 
-# key -> (type, default); None defaults are filled per experiment
-_SETTING_TYPES = {
-    "experiment": str,
-    "domain": str,
-    "penalty": str,
-    "out_dir": str,
-    "n": int,
-    "max_iters": int,
-    "h": float,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "tau": float,
-    "epsilon": float,
-    "tol": float,
-}
-
-_DEFAULTS = {
-    "experiment": "compliance-quadratic",
-    "domain": None,
-    "penalty": "quadratic",
-    "out_dir": ".",
-    "n": 64,
-    "max_iters": 2000,
-    "h": 0.02,
-    "alpha": 1.0,
-    "beta": 2.0,
-    "gamma": None,
-    "tau": 0.23539,
-    "epsilon": 0.0,
-    "tol": 1e-6,
+# key -> (type, default, choices, help); None defaults are filled per
+# experiment.  The table drives the flags, the config file keys, the
+# defaults and the choice checks.
+_SETTINGS = {
+    "experiment": (str, "compliance-quadratic", EXPERIMENTS,
+                   "which canned experiment to run"),
+    "domain": (str, None, DOMAINS,
+               "square (default) or disk; general-relaxed defaults to disk"),
+    "out_dir": (str, ".", None,
+                "where to write mesh_fields.vtk, convergence.csv, "
+                "summary.txt (default: current directory)"),
+    "n": (int, 64, None, "square mesh subdivisions per side"),
+    "h": (float, 0.02, None, "disk mesh target spacing"),
+    "alpha": (float, 1.0, None, "lower coefficient bound"),
+    "beta": (float, 2.0, None, "upper coefficient bound"),
+    "gamma": (float, None, None,
+              "penalty weight for the two-phase experiments"),
+    "tau": (float, 0.23539, None,
+            "flux scale for general-relaxed (g = tau^2)"),
+    "epsilon": (float, 0.0, None,
+                "cost-weight tilt, weight = 1 + epsilon * x1"),
+    "tol": (float, 1e-6, None, "relative decrease stop"),
+    "max_iters": (int, 2000, None, "iteration cap"),
+    "penalty": (str, "quadratic", VARIANTS,
+                "penalty for the custom experiment"),
 }
 
 _GAMMA_DEFAULTS = {
@@ -101,10 +95,10 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SETTING_TYPES:
+        if key not in _SETTINGS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            out[key] = _SETTING_TYPES[key](value)
+            out[key] = _SETTINGS[key][0](value)
         except ValueError:
             raise ValueError(
                 f"config line {lineno}: bad value {value!r} for {key}"
@@ -117,31 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coeffopt",
         description="coefficient design experiments for -div(a grad u) = f",
     )
-    p.add_argument("--experiment", choices=EXPERIMENTS,
-                   help="which canned experiment to run")
     p.add_argument("--config", metavar="FILE",
                    help="key = value settings file (flags override it)")
-    p.add_argument("--domain", choices=DOMAINS,
-                   help="square (default) or disk; general-relaxed "
-                        "defaults to disk")
-    p.add_argument("--out-dir", dest="out_dir", metavar="DIR",
-                   help="where to write mesh_fields.vtk, convergence.csv, "
-                        "summary.txt (default: current directory)")
-    p.add_argument("--n", type=int, help="square mesh subdivisions per side")
-    p.add_argument("--h", type=float, help="disk mesh target spacing")
-    p.add_argument("--alpha", type=float, help="lower coefficient bound")
-    p.add_argument("--beta", type=float, help="upper coefficient bound")
-    p.add_argument("--gamma", type=float, help="penalty weight for the "
-                                               "two-phase experiments")
-    p.add_argument("--tau", type=float,
-                   help="flux scale for general-relaxed (g = tau^2)")
-    p.add_argument("--epsilon", type=float,
-                   help="cost-weight tilt, weight = 1 + epsilon * x1")
-    p.add_argument("--tol", type=float, help="relative decrease stop")
-    p.add_argument("--max-iters", dest="max_iters", type=int,
-                   help="iteration cap")
-    p.add_argument("--penalty", choices=VARIANTS,
-                   help="penalty for the custom experiment")
+    for key, (kind, _, choices, text) in _SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                       choices=choices, help=text,
+                       metavar="DIR" if key == "out_dir" else None)
     return p
 
 
@@ -151,26 +126,26 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     Raises ValueError (bad settings) or OSError (unreadable config);
     performs no writes, so failures leave no partial outputs.
     """
-    settings = dict(_DEFAULTS)
+    settings = {key: spec[1] for key, spec in _SETTINGS.items()}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             settings.update(parse_config_text(fh.read()))
-    for key in _SETTING_TYPES:
+    for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
 
     exp = settings["experiment"]
-    if exp not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {exp!r}")
     if settings["domain"] is None:
         settings["domain"] = "disk" if exp == "general-relaxed" else "square"
-    if settings["domain"] not in DOMAINS:
-        raise ValueError(f"unknown domain {settings['domain']!r}")
     if settings["gamma"] is None:
         settings["gamma"] = _GAMMA_DEFAULTS.get(exp)
-    if settings["penalty"] not in VARIANTS:
-        raise ValueError(f"unknown penalty {settings['penalty']!r}")
+    for key, (kind, _, choices, _) in _SETTINGS.items():
+        value = settings[key]
+        if choices is not None and value not in choices:
+            raise ValueError(f"unknown {key} {value!r}")
+        if kind is float and value is not None and not np.isfinite(value):
+            raise ValueError(f"{key} must be finite")
 
     if settings["n"] < 1:
         raise ValueError("n must be at least 1")
@@ -182,8 +157,6 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         raise ValueError("tol must be positive")
     if settings["max_iters"] < 1:
         raise ValueError("max_iters must be at least 1")
-    if not np.isfinite(settings["epsilon"]):
-        raise ValueError("epsilon must be finite")
 
     needs_gamma = exp in ("compliance-twophase", "energy-relaxed") or (
         exp == "custom" and settings["penalty"] in ("linear-box", "affine-box")

@@ -14,13 +14,15 @@ multigrid V-cycle (Vanek, Mandel and Brezina, 1996), so the iteration
 count stays flat as the mesh is refined.  A ``StiffnessAssembler`` is
 the one per-mesh solver state, and the only state kept across solves:
 the free-dof pattern, the gather that fills it, the aggregation
-transfers and the V-cycle's coarse levels live on it.  A solve builds
-the reduced matrix and the V-cycle's finest level (its smoother
-weights) from its matrix and frees them on return.  Each matrix the
-assembler builds carries it and the coefficient it was assembled from,
-and ``solve_dirichlet`` takes the Dirichlet mask from there; a matrix
-built any other way, or paired with another mask, raises
-``ValueError``.
+transfers and the V-cycle's coarse levels live on it.  The first coarse
+build aggregates on the way down, each level from the Galerkin operator
+just formed and kept for the V-cycle, so every operator is formed once;
+later rebuilds reuse those transfers.  A solve builds the reduced
+matrix and the V-cycle's finest level (its smoother weights) from its
+matrix and frees them on return.  Each matrix the assembler builds
+carries it and the coefficient it was assembled from, and
+``solve_dirichlet`` takes the Dirichlet mask from there; a matrix built
+any other way, or paired with another mask, raises ``ValueError``.
 
 The coarse levels - the Galerkin operators below the finest level,
 their smoother weights and the coarsest inverse - are kept with the
@@ -147,11 +149,11 @@ class StiffnessAssembler:
     slots, so the matrix is symmetric bit for bit.
 
     What persists across solves lives here and nowhere else: the
-    aggregation transfers, built on the first solve and reused by every
-    later one, and the V-cycle's coarse levels with the coefficient
-    they were built from, which ``operators`` rebuilds only when a
-    matrix's coefficient has moved farther than ``_REBUILD_CONTRAST``
-    from that one.  A solve builds its finest level and frees it on
+    aggregation transfers, built with the first coarse levels and
+    reused by every later rebuild, and the V-cycle's coarse levels with
+    the coefficient they were built from, which ``operators`` rebuilds
+    only when a matrix's coefficient has moved farther than
+    ``_REBUILD_CONTRAST`` from that one.  A solve builds its finest level and frees it on
     return.  So the solves of one assembler, and hence its results in
     the last digits, depend on the sequence of coefficients it has
     solved with; a fresh assembler repeats them bit for bit.
@@ -195,7 +197,7 @@ class StiffnessAssembler:
         # every reduced matrix shares this pattern
         self._free_indices.setflags(write=False)
         self._free_indptr.setflags(write=False)
-        self._transfers = None  # (P, R) per level, from the first solve
+        self._transfers = None  # (P, R) per level, from the first build
         # the V-cycle's coarse levels, ([(Galerkin operator, smoother
         # weights) per level >= 1], coarsest inverse), and the
         # _tensor_parts of the coefficient they were built from
@@ -255,10 +257,12 @@ class StiffnessAssembler:
         afresh on every call.
 
         The finest level of the V-cycle comes from the matrix itself.
-        Its coarse levels are the assembler's: they are rebuilt from
-        this matrix only when its coefficient is more than
-        ``_REBUILD_CONTRAST`` apart from the one they were built from
-        (``_contrast``), and kept otherwise.  The assembler keeps that
+        Its coarse levels are the assembler's: built with the transfers
+        from the first matrix, then rebuilt with the kept transfers from
+        a matrix whose coefficient is more than ``_REBUILD_CONTRAST``
+        apart from the one they were built from (``_contrast``), and
+        kept otherwise.  A build that raises stores nothing, and the
+        next matrix builds again.  The assembler keeps that
         coefficient without copying it, so it must not be modified in
         place after a solve.
         """
@@ -273,14 +277,13 @@ class StiffnessAssembler:
             raise IllPosedCoefficientError(
                 f"nonpositive stiffness diagonal at reduced index {i}"
             )
-        if self._transfers is None:
-            self._transfers = _aggregation_hierarchy(A)
         parts = _tensor_parts(self.mesh, matrix.coefficient)
         # with no coarse level the coarsest inverse is A's own
-        if (not self._transfers or self._coarse is None
+        if (self._coarse is None or not self._transfers
                 or _contrast(parts, self._reference) > _REBUILD_CONTRAST):
             self._coarse = None  # freed before the new one is built
-            self._coarse = _coarse_levels(A, self._transfers)
+            transfers, levels, inverse = _coarse_levels(A, self._transfers)
+            self._transfers, self._coarse = transfers, (levels, inverse)
             self._reference = parts
         return A, self.preconditioner(A)
 
@@ -400,13 +403,6 @@ def _gershgorin(A: sp.csr_matrix):
     return diag, rho
 
 
-def _jacobi_weights(A: sp.csr_matrix) -> np.ndarray:
-    """omega / diag(A) with omega = 4 / (3 rho), so damped Jacobi
-    contracts in energy."""
-    diag, rho = _gershgorin(A)
-    return (4.0 / (3.0 * rho)) / diag
-
-
 def _chebyshev_weights(A: sp.csr_matrix):
     """(w1, w2): the Jacobi weights 1 / (r diag(A)) at the two roots r of
     the degree-2 Chebyshev polynomial on [rho / 10, rho], theta -+ delta
@@ -418,12 +414,24 @@ def _chebyshev_weights(A: sp.csr_matrix):
     return 1.0 / ((theta - half) * diag), 1.0 / ((theta + half) * diag)
 
 
-def _coarse_levels(A: sp.csr_matrix, transfers):
-    """The V-cycle below A's level: ([(Galerkin operator, smoother
-    weights) per level >= 1], inverse of the coarsest operator)."""
+def _coarse_levels(A: sp.csr_matrix, transfers=None):
+    """The V-cycle below A's level: (transfers, [(Galerkin operator,
+    smoother weights) per level >= 1], inverse of the coarsest operator).
+
+    Given transfers, the Galerkin operators are formed with them.
+    Given none, each level larger than ``_MAX_COARSE`` is aggregated
+    from the operator just formed (``_transfer``), on the way down, and
+    the new transfers are returned; the ones given are never modified.
+    """
     ops = [A]
-    for P, R in transfers:
-        ops.append(_galerkin(ops[-1], P, R))
+    if transfers is None:
+        transfers = []
+        while ops[-1].shape[0] > _MAX_COARSE:
+            transfers.append(_transfer(ops[-1]))
+            ops.append(_galerkin(ops[-1], *transfers[-1]))
+    else:
+        for P, R in transfers:
+            ops.append(_galerkin(ops[-1], P, R))
     try:
         L = np.linalg.cholesky(ops[-1].toarray())
     except np.linalg.LinAlgError:
@@ -434,7 +442,7 @@ def _coarse_levels(A: sp.csr_matrix, transfers):
     # as one symmetric product
     Linv = np.linalg.inv(L)
     levels = [(Ac, _chebyshev_weights(Ac)) for Ac in ops[1:-1]]
-    return levels, Linv.T @ Linv
+    return transfers, levels, Linv.T @ Linv
 
 
 def _pencil_extremes(a, b):
@@ -540,25 +548,23 @@ def _aggregates(A: sp.csr_matrix) -> np.ndarray:
     return np.where(agg >= 0, agg, np.maximum.reduceat(pick, indptr[:-1]))
 
 
-def _aggregation_hierarchy(A: sp.csr_matrix) -> list:
-    """(P, R) per level: aggregates of the current level, tentative
-    piecewise-constant prolongator smoothed once by damped Jacobi.  Only
-    R is stored; P is its transpose, a CSC view of the same arrays."""
-    transfers = []
-    while A.shape[0] > _MAX_COARSE:
-        n = A.shape[0]
-        agg = _aggregates(A)
-        nc = int(agg.max()) + 1
-        if 2 * nc > n:
-            raise SolverFailure(
-                f"aggregation could not halve a level of {n} unknowns"
-            )
-        T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, nc))
-        P = (T - sp.diags(_jacobi_weights(A)) @ (A @ T)).tocsr()
-        R = P.T.tocsr()
-        transfers.append((R.T, R))
-        A = _galerkin(A, P, R)
-    return transfers
+def _transfer(A: sp.csr_matrix):
+    """(P, R) from A to the next level: A's aggregates, the tentative
+    piecewise-constant prolongator smoothed once by damped Jacobi with
+    omega = 4 / (3 rho), so it contracts in energy.  Only R is stored;
+    P is its transpose, a CSC view of the same arrays."""
+    n = A.shape[0]
+    agg = _aggregates(A)
+    nc = int(agg.max()) + 1
+    if 2 * nc > n:
+        raise SolverFailure(
+            f"aggregation could not halve a level of {n} unknowns"
+        )
+    T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, nc))
+    diag, rho = _gershgorin(A)
+    P = (T - sp.diags((4.0 / (3.0 * rho)) / diag) @ (A @ T)).tocsr()
+    R = P.T.tocsr()
+    return R.T, R
 
 
 def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,

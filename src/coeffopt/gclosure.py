@@ -38,7 +38,7 @@ ALIGNMENT_TOL = 1e-9
 
 
 def _check_phases(alpha: float, beta: float):
-    if not (0.0 < alpha < beta):
+    if not (0.0 < alpha < beta < np.inf):
         raise ValueError(f"phases must satisfy 0 < alpha < beta, got "
                          f"({alpha}, {beta})")
 

@@ -52,8 +52,8 @@ RECOVERY_CAP = 1e8
 class PenaltySpec:
     """Penalty variant plus its parameters.
 
-    alpha, beta bound the box variants (0 < alpha < beta); gamma is the
-    weight of the box variants.  half=True marks the psi/2 convention
+    alpha, beta bound the box variants (0 < alpha < beta < inf); gamma
+    is the weight of the box variants, finite and positive.  half=True marks the psi/2 convention
     of the energy track.
     """
 
@@ -70,12 +70,12 @@ class PenaltySpec:
                 f"expected one of {VARIANTS}"
             )
         if self.variant in _BOX_VARIANTS:
-            if not (0.0 < self.alpha < self.beta):
+            if not (0.0 < self.alpha < self.beta < np.inf):
                 raise ValueError(
                     f"box penalty needs 0 < alpha < beta, got "
                     f"({self.alpha}, {self.beta})"
                 )
-            if self.gamma is None or not (self.gamma > 0.0):
+            if self.gamma is None or not (0.0 < self.gamma < np.inf):
                 raise ValueError("box penalty needs gamma > 0")
 
     @property

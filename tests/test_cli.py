@@ -79,6 +79,9 @@ def test_validation_errors():
         ["--max-iters", "0"],
         ["--experiment", "compliance-twophase", "--gamma", "-1"],
         ["--experiment", "compliance-twophase", "--gamma", "nan"],
+        # an infinite weight or phase passed, then failed in the run
+        ["--experiment", "compliance-twophase", "--gamma", "inf"],
+        ["--experiment", "compliance-twophase", "--beta", "inf"],
         ["--experiment", "general-relaxed", "--tau", "0.6"],
         ["--experiment", "custom", "--penalty", "linear-box"],  # no gamma
     ):
@@ -144,7 +147,9 @@ def test_main_general_summary(tmp_path):
 
 def test_main_bad_settings_exit_2(tmp_path, capsys):
     for argv in (["--n", "0"], ["--tol", "nan"],
-                 ["--experiment", "compliance-twophase", "--gamma", "nan"]):
+                 ["--experiment", "compliance-twophase", "--gamma", "nan"],
+                 ["--experiment", "compliance-twophase", "--gamma", "inf"],
+                 ["--experiment", "compliance-twophase", "--beta", "inf"]):
         rc = main(argv + ["--out-dir", str(tmp_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err

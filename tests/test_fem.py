@@ -360,7 +360,85 @@ def test_aggregation_that_cannot_halve_fails():
     import coeffopt.fem as fem
 
     with pytest.raises(SolverFailure, match="could not halve"):
-        fem._aggregation_hierarchy(sp.identity(400, format="csr"))
+        fem._coarse_levels(sp.identity(400, format="csr"))
+
+
+def square_64_problem():
+    """The n = 64 square (two transfers), a varying scalar coefficient
+    and its load."""
+    m = build_unit_square_mesh(64)
+    a = 1.0 + m.cell_areas.cumsum() / m.cell_areas.sum()
+    return m, a, assemble_load(m, 1.0 + m.vertices[:, 0])
+
+
+def test_first_build_forms_each_galerkin_operator_once(monkeypatch):
+    # the first coarse build aggregates each level from the operator it
+    # has just formed, so the chain R A P is formed once per level
+    import coeffopt.fem as fem
+
+    calls = []
+    real = fem._galerkin
+
+    def counting(A, P, R):
+        calls.append(A.shape)
+        return real(A, P, R)
+
+    monkeypatch.setattr(fem, "_galerkin", counting)
+    m, a, b = square_64_problem()
+    asm = StiffnessAssembler(m)
+    solve_dirichlet(LinearSystem(asm.assemble(a), b, m.boundary))
+    assert len(asm._transfers) == 2
+    assert len(calls) == 2
+    assert calls[0] == (m.n_vertices - int(m.boundary.sum()),) * 2
+
+
+def test_rebuild_repeats_the_first_build_bitwise():
+    # rebuilding from the first coefficient with the kept transfers
+    # reproduces the levels the first build aggregated on the way down
+    import coeffopt.fem as fem
+
+    m, a, _ = square_64_problem()
+    asm = StiffnessAssembler(m)
+    A, _ = asm.operators(asm.assemble(a))
+    transfers = asm._transfers
+    levels, inverse = asm._coarse
+    again, rebuilt, rebuilt_inverse = fem._coarse_levels(A, transfers)
+    assert again is transfers and len(transfers) == 2
+    assert len(rebuilt) == len(levels) == 1
+    for (Ac, (w1, w2)), (Bc, (v1, v2)) in zip(levels, rebuilt):
+        for field in ("data", "indices", "indptr"):
+            assert getattr(Ac, field).tobytes() == getattr(Bc, field).tobytes()
+        assert w1.tobytes() == v1.tobytes()
+        assert w2.tobytes() == v2.tobytes()
+    assert inverse.tobytes() == rebuilt_inverse.tobytes()
+
+
+def test_failed_build_leaves_no_partial_hierarchy(monkeypatch):
+    # a set-up that raises half way down stores no transfers and no
+    # levels; the next solve builds the whole hierarchy afresh
+    import coeffopt.fem as fem
+
+    real = fem._transfer
+    calls = []
+
+    def failing_second(A):
+        calls.append(A.shape)
+        if len(calls) == 2:
+            raise SolverFailure("injected")
+        return real(A)
+
+    m, a, b = square_64_problem()
+    asm = StiffnessAssembler(m)
+    monkeypatch.setattr(fem, "_transfer", failing_second)
+    with pytest.raises(SolverFailure, match="injected"):
+        solve_dirichlet(LinearSystem(asm.assemble(a), b, m.boundary))
+    assert asm._transfers is None and asm._coarse is None
+    monkeypatch.setattr(fem, "_transfer", real)
+    u = solve_dirichlet(LinearSystem(asm.assemble(a), b, m.boundary))
+    assert len(asm._transfers) == 2
+    fresh = StiffnessAssembler(m)
+    v = solve_dirichlet(LinearSystem(fresh.assemble(a), b, m.boundary))
+    assert u.tobytes() == v.tobytes()
 
 
 def test_one_matrix_serves_two_loads(monkeypatch):

@@ -291,6 +291,10 @@ def test_optimal_t_zero_g():
 def test_validation():
     with pytest.raises(ValueError):
         lamination_means(0.5, 2.0, 1.0)
+    # an infinite phase gave (inf, nan)
+    for alpha, beta in ((A, np.inf), (np.inf, np.inf), (-np.inf, B)):
+        with pytest.raises(ValueError, match="phases"):
+            lamination_means(0.5, alpha, beta)
     with pytest.raises(ValueError):
         lamination_means(-0.1, A, B)
     # NaN compares false both ways, so it must fail the range check

@@ -37,6 +37,13 @@ def test_spec_validation():
         PenaltySpec("linear-box")  # gamma required
     with pytest.raises(ValueError):
         PenaltySpec("affine-box", gamma=-0.1)
+    # infinite weights were accepted
+    with pytest.raises(ValueError, match="gamma"):
+        PenaltySpec("linear-box", gamma=np.inf)
+    with pytest.raises(ValueError, match="alpha < beta"):
+        PenaltySpec("linear-box", beta=np.inf, gamma=0.5)
+    with pytest.raises(ValueError, match="alpha < beta"):
+        PenaltySpec("affine-box", alpha=np.inf, beta=np.inf, gamma=0.5)
 
 
 def test_is_box_property():
