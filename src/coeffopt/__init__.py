@@ -50,7 +50,6 @@ from .oracles import (
 from .optimize import (
     DescentConfig,
     InternalConsistencyError,
-    LinearCost,
     OptReport,
     compliance_descent,
     energy_relaxed_solve,

@@ -32,7 +32,6 @@ from .gclosure import eig_sym_2x2
 from .mesh import build_unit_disk_mesh, build_unit_square_mesh, write_vtk
 from .optimize import (
     DescentConfig,
-    LinearCost,
     compliance_descent,
     energy_relaxed_solve,
     general_relaxed_optimize,
@@ -213,14 +212,12 @@ def _run_energy(mesh, settings):
 
 
 def _run_general(mesh, settings):
-    eps = settings["epsilon"]
-    if eps == 0.0:
-        cost = LinearCost(1.0)
-    else:
-        cost = LinearCost(1.0 + eps * mesh.vertices[:, 0])
+    # at epsilon = 0 the weight assembles to the state load bit for
+    # bit, so the descent takes p = u
+    weight = 1.0 + settings["epsilon"] * mesh.vertices[:, 0]
     g = settings["tau"] ** 2
     t, tensor, u, p, report = general_relaxed_optimize(
-        mesh, 1.0, cost, g, settings["alpha"], settings["beta"],
+        mesh, 1.0, weight, g, settings["alpha"], settings["beta"],
         _descent_config(settings))
     lam1, lam2, _, _ = eig_sym_2x2(tensor)
     ratio = lam2 / lam1

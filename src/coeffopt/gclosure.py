@@ -65,6 +65,8 @@ def lamination_means(t, alpha: float, beta: float):
 def fraction_from_harmonic(nu, alpha: float, beta: float):
     """Invert nu_t: the fraction t with harmonic mean nu, clipped to [0,1]."""
     _check_phases(alpha, beta)
+    if np.any(np.isnan(nu)):
+        raise ValueError("nu must not be NaN")
     nu = np.asarray(np.clip(nu, alpha, beta), dtype=float)
     t = alpha * (beta - nu) / (nu * (beta - alpha))
     t = np.clip(t, 0.0, 1.0)
@@ -225,7 +227,7 @@ def clamp_spectrum(tcols: np.ndarray, lo, hi):
     tcols = np.asarray(tcols, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
+    if not np.all(lo <= hi):
         raise ValueError("clamp bounds must satisfy lo <= hi")
     lam1, lam2, c, s = eig_sym_2x2(tcols)
     l1 = np.clip(lam1, lo, hi)

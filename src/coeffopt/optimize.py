@@ -1,6 +1,6 @@
 """Descent drivers for the coefficient design problems.
 
-Three drivers share one report format:
+Three drivers share one history record, ``OptReport``:
 
 * ``compliance_descent`` - projected gradient on a per-cell scalar
   coefficient for J(a) = int(f u + psi(a)), descent direction
@@ -9,18 +9,19 @@ Three drivers share one report format:
   relaxed two-phase energy int(nu_t/2 |grad u|^2 - f u
   + gamma (beta - mu_t)/2) over (t, u).
 * ``general_relaxed_optimize`` - the laminate update for the relaxed
-  control problem int(j(x, u) + g mu_t): per-cell optimal fraction and
-  laminate from the state and adjoint gradients, folded in by a convex
-  combination with a backtracked weight.
+  control problem int(w u + g mu_t) with a constant or nodal cost
+  weight w: per-cell optimal fraction and laminate from the state and
+  adjoint gradients, folded in by a convex combination with a
+  backtracked weight.
 
 Both descents step by one backtracking line search with simple
 decrease (``_backtrack``), in which a trial whose solve raises
 ``SolverFailure`` or whose cost is not finite is a rejected step;
 failures of the initial, adjoint and final solves raise.  Every
-accepted step strictly decreases the cost; runs stop on the
-relative-change ratio |J_k - J_{k-1}| / |J_0| < tol, on a projection
-fixed point (stationarity), or - reported, not raised - on a stalled
-line search.
+accepted step strictly decreases the cost and is recorded by
+``OptReport.accept``; runs stop on the relative change it returns,
+|J_k - J_{k-1}| / |J_0| < tol, on a projection fixed point
+(stationarity), or - reported, not raised - on a stalled line search.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .mesh import Mesh
 __all__ = [
     "DescentConfig",
     "OptReport",
-    "LinearCost",
     "InternalConsistencyError",
     "compliance_descent",
     "energy_relaxed_solve",
@@ -85,52 +85,47 @@ class DescentConfig:
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if (not isinstance(self.max_iters, (int, np.integer))
+                or isinstance(self.max_iters, bool) or self.max_iters < 1):
+            raise ValueError(
+                f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass
 class OptReport:
-    """Iteration history plus the final fields of a driver run.
+    """Iteration history of a driver run.
 
     costs[0] is the initial cost; costs[k] the cost after accepted
     update k, so the sequence is strictly decreasing.  steps and ratios
-    align with costs[1:].  stagnated marks a line search that found no
-    decrease within the halving budget (terminal state, not an error).
+    align with costs[1:]; ratios[k - 1] is the relative change
+    |costs[k] - costs[k - 1]| / |costs[0]| that the stop test compares
+    with tol.  stagnated marks a line search that found no decrease
+    within the halving budget (terminal state, not an error).
     """
 
     costs: list = field(default_factory=list)
     steps: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
     converged: bool = False
     stagnated: bool = False
-    final_a: np.ndarray | None = None
-    final_t: np.ndarray | None = None
-    final_tensor: np.ndarray | None = None
-    final_u: np.ndarray | None = None
-    final_p: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
         return len(self.steps)
 
+    @property
+    def ratios(self) -> list:
+        return [self.change(c, k) for k, c in enumerate(self.costs[1:])]
 
-@dataclass(frozen=True)
-class LinearCost:
-    """Cost integrand j(x, s) = weight(x) * s (weight constant or nodal).
+    def change(self, J: float, k: int = -1) -> float:
+        """The relative change from recorded cost k (the last) to J."""
+        return abs(J - self.costs[k]) / max(abs(self.costs[0]), 1e-300)
 
-    ``load`` assembles the weight like a source term.  That vector is
-    both the cost (load . u) and the adjoint right-hand side, so
-    ``general_relaxed_optimize`` assembles it once per run.  A weight
-    equal to f gives the state load bit for bit; the descent then takes
-    the state itself as the adjoint (p is u) and makes no adjoint solve.
-    """
-
-    weight: float | np.ndarray = 1.0
-
-    def load(self, mesh: Mesh) -> np.ndarray:
-        """The assembled weight; ValueError for a wrong-length nodal one."""
-        return assemble_load(mesh, self.weight)
+    def accept(self, J: float, step: float) -> float:
+        """Record an update to cost J by step; returns its relative change."""
+        ratio = self.change(J)
+        self.costs.append(J)
+        self.steps.append(step)
+        return ratio
 
 
 # the relaxed drivers' initial fraction of alpha, in every cell
@@ -203,16 +198,21 @@ def _smoothed_cell_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _per_cell(mesh: Mesh, value, name: str) -> np.ndarray:
+    """A scalar spread over the cells, or a per-cell array as it is."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim == 0:
+        v = np.full(mesh.n_cells, float(v))
+    if v.shape != (mesh.n_cells,):
+        raise ValueError(f"{name} must be scalar or shape ({mesh.n_cells},)")
+    return v
+
+
 def _initial_coefficient(mesh: Mesh, spec: pen.PenaltySpec, a0):
     if a0 is None:
         base = 0.5 * (spec.alpha + spec.beta) if spec.is_box else 1.0
         return np.full(mesh.n_cells, base)
-    a = np.asarray(a0, dtype=float)
-    if a.ndim == 0:
-        a = np.full(mesh.n_cells, float(a))
-    if a.shape != (mesh.n_cells,):
-        raise ValueError(f"a0 must be scalar or shape ({mesh.n_cells},)")
-    return pen.project_to_domain(spec, a)
+    return pen.project_to_domain(spec, _per_cell(mesh, a0, "a0"))
 
 
 def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
@@ -237,7 +237,6 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
     u = _solve(asm.assemble(a), load)
     J = cost_functional(mesh, load, u, a, spec)
     report = OptReport(costs=[J])
-    j0 = max(abs(J), 1e-300)
     eps = 0.1 * _STEP_CAP
 
     for _ in range(config.max_iters):
@@ -262,19 +261,12 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
             report.converged, report.stagnated = not moved, moved
             break
 
-        eps, J_t, (a_t, u_t) = hit
-        ratio = abs(J_t - J) / j0
-        a, u, J = a_t, u_t, J_t
-        report.costs.append(J)
-        report.steps.append(eps)
-        report.ratios.append(ratio)
-        eps = min(2.0 * eps, _STEP_CAP)
-        if ratio < config.tol:
+        eps, J, (a, u) = hit
+        if report.accept(J, eps) < config.tol:
             report.converged = True
             break
+        eps = min(2.0 * eps, _STEP_CAP)
 
-    report.final_a = a
-    report.final_u = u
     return a, u, report
 
 
@@ -298,28 +290,20 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     load = assemble_load(mesh, f)
     nu_star_num = np.sqrt(gamma * alpha * beta)
 
-    t = np.full(mesh.n_cells, _T0)
-    report = OptReport()
-    u = None
-    J_prev = None
-    for k in range(config.max_iters + 1):
+    def state(t, u0):
+        # the state of fraction t, its |grad u|^2 and the energy; the
+        # matrix is not kept past its solve
         mu, nu = lamination_means(t, alpha, beta)
-        # the matrix is not kept past its solve
-        u = _solve(asm.assemble(nu), load, x0=u)
+        u = _solve(asm.assemble(nu), load, x0=u0)
         gsq = grad_norm_sq(mesh, u)
         J = 0.5 * float((mesh.cell_areas * nu) @ gsq) - float(load @ u) \
             + 0.5 * gamma * float(mesh.cell_areas @ (beta - mu))
-        report.costs.append(J)
-        if J_prev is not None:
-            ratio = abs(J - J_prev) / max(abs(report.costs[0]), 1e-300)
-            report.steps.append(1.0)
-            report.ratios.append(ratio)
-            if ratio < config.tol:
-                report.converged = True
-                break
-        J_prev = J
-        if k == config.max_iters:
-            break
+        return u, gsq, J
+
+    t = np.full(mesh.n_cells, _T0)
+    u, gsq, J = state(t, None)
+    report = OptReport(costs=[J])
+    for _ in range(config.max_iters):
         s = np.sqrt(gsq)
         with np.errstate(divide="ignore"):
             nu_new = np.where(s > 0.0, nu_star_num / np.where(s > 0.0, s, 1.0),
@@ -332,15 +316,16 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
             report.converged = True
             break
         t = t_new
+        u, gsq, J = state(t, u)
+        if report.accept(J, 1.0) < config.tol:
+            report.converged = True
+            break
 
-    a_eff = pen.recover_coefficient(spec_eff, grad_norm_sq(mesh, u))
-    report.final_t = t
-    report.final_a = a_eff
-    report.final_u = u
+    a_eff = pen.recover_coefficient(spec_eff, gsq)
     return t, a_eff, u, report
 
 
-def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
+def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
                              alpha: float, beta: float,
                              config: DescentConfig | None = None):
     """Laminate descent for min int(j(x, u) + g(x) mu_t) over (t, A).
@@ -376,8 +361,11 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     Returns
     (t, A, u, p, report); A in (a11, a12, a22) column storage.
 
-    When the adjoint load equals the state load bit for bit (a
-    ``LinearCost`` weight equal to f, the compliance case), p is u
+    The cost integrand is j(x, s) = weight(x) s, with weight a constant
+    or a nodal array (ValueError for a wrong-length one).  It is
+    assembled once, like a source term: that vector w is both the cost
+    (w . u) and the adjoint right-hand side.  When w equals the state
+    load bit for bit (a weight equal to f, the compliance case), p is u
     itself and no adjoint is solved.  In the loop that is exactly what
     the solve would return: it would repeat the state's solve from the
     same warm start.  (The final adjoint of a run whose last iteration
@@ -391,38 +379,26 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     config = config or DescentConfig()
     asm = StiffnessAssembler(mesh)
     load = assemble_load(mesh, f)
-    # the cost weight w: the cost is w . u and the adjoint solves K p = w
-    weight = cost.load(mesh)
-    self_adjoint = np.array_equal(weight, load)
-    g = np.asarray(g_field, dtype=float)
-    if g.ndim == 0:
-        g = np.full(mesh.n_cells, float(g))
-    if g.shape != (mesh.n_cells,):
-        raise ValueError(f"g_field must be scalar or shape ({mesh.n_cells},)")
+    w = assemble_load(mesh, weight)
+    self_adjoint = np.array_equal(w, load)
+    g = _per_cell(mesh, g_field, "g_field")
 
     def adjoint(K, A, u, p):
         # K: the assembled matrix of A, or None when none was kept
         if self_adjoint:
             return u
-        return _solve(K if K is not None else asm.assemble(A), weight, x0=p)
+        return _solve(K if K is not None else asm.assemble(A), w, x0=p)
 
     def total_cost(u, mu):
-        return float(weight @ u) + float(mesh.cell_areas @ (g * mu))
-
-    def tensor_from_iso(vals):
-        out = np.zeros((mesh.n_cells, 3))
-        out[:, 0] = vals
-        out[:, 2] = vals
-        return out
+        return float(w @ u) + float(mesh.cell_areas @ (g * mu))
 
     t = np.full(mesh.n_cells, _T0)
     mu, nu = lamination_means(t, alpha, beta)
-    A = tensor_from_iso(nu)
+    A = np.column_stack([nu, np.zeros(mesh.n_cells), nu])
     K = asm.assemble(A)
     u = _solve(K, load)
     J = total_cost(u, mu)
     report = OptReport(costs=[J])
-    j0 = max(abs(J), 1e-300)
     p = None
 
     eps = _STEP_CAP
@@ -469,7 +445,7 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
 
         hit, _ = _backtrack(partial(trial_at, t_hat, a_hat), J, eps)
         used_fallback = False
-        if hit is None or abs(hit[1] - J) / j0 < config.tol:
+        if hit is None or report.change(hit[1]) < config.tol:
             # fraction update blocked or exhausted; a move toward the
             # Hamiltonian maximizer inside the current box still
             # descends and realizes the laminate at fixed fraction
@@ -480,19 +456,14 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
         if hit is None:
             report.stagnated = True
             break
-        eps_used, J_t, (t_new, a_new, mu_n, nu_n, u_t, K) = hit
+        eps_used, J, (t, A, mu_n, nu_n, u, K) = hit
 
-        lam1, lam2, _, _ = eig_sym_2x2(a_new)
+        lam1, lam2, _, _ = eig_sym_2x2(A)
         if np.any(lam1 < nu_n - 1e-10) or np.any(lam2 > mu_n + 1e-10):
             raise InternalConsistencyError(
                 "updated tensor left the lamination box"
             )
-        ratio = abs(J_t - J) / j0
-        t, A, u, J = t_new, a_new, u_t, J_t
-        report.costs.append(J)
-        report.steps.append(eps_used)
-        report.ratios.append(ratio)
-        if ratio < config.tol:
+        if report.accept(J, eps_used) < config.tol:
             report.converged = True
             break
         if not used_fallback:
@@ -501,10 +472,6 @@ def general_relaxed_optimize(mesh: Mesh, f, cost, g_field,
     # the loop's adjoint lags one accepted update; pair it with the
     # final tensor
     p = adjoint(K, A, u, p)
-    report.final_t = t
-    report.final_tensor = A
-    report.final_u = u
-    report.final_p = p
     return t, A, u, p, report
 
 

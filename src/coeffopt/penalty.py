@@ -48,6 +48,16 @@ PROJECTION_FLOOR = 1e-8
 RECOVERY_CAP = 1e8
 
 
+def _check_box(alpha, beta, gamma):
+    """The box parameters: 0 < alpha < beta < inf and 0 < gamma < inf."""
+    if not (0.0 < alpha < beta < np.inf):
+        raise ValueError(
+            f"box penalty needs 0 < alpha < beta, got ({alpha}, {beta})"
+        )
+    if gamma is None or not (0.0 < gamma < np.inf):
+        raise ValueError("box penalty needs gamma > 0")
+
+
 @dataclass(frozen=True)
 class PenaltySpec:
     """Penalty variant plus its parameters.
@@ -70,13 +80,7 @@ class PenaltySpec:
                 f"expected one of {VARIANTS}"
             )
         if self.variant in _BOX_VARIANTS:
-            if not (0.0 < self.alpha < self.beta < np.inf):
-                raise ValueError(
-                    f"box penalty needs 0 < alpha < beta, got "
-                    f"({self.alpha}, {self.beta})"
-                )
-            if self.gamma is None or not (0.0 < self.gamma < np.inf):
-                raise ValueError("box penalty needs gamma > 0")
+            _check_box(self.alpha, self.beta, self.gamma)
 
     @property
     def is_box(self) -> bool:
@@ -169,7 +173,11 @@ def phi_eval(s, alpha: float, beta: float, gamma: float):
         beta s^2                           (small gradients)
         2 sqrt(alpha beta gamma) s - alpha gamma   (lamination band)
         alpha s^2 + gamma (beta - alpha)   (large gradients)
+
+    The parameters satisfy the box rule of ``PenaltySpec``
+    (0 < alpha < beta < inf, 0 < gamma < inf), else ValueError.
     """
+    _check_box(alpha, beta, gamma)
     s = np.asarray(s, dtype=float)
     s2 = s * s
     lo = (alpha / beta) * gamma
@@ -187,6 +195,7 @@ def phi_eval(s, alpha: float, beta: float, gamma: float):
 
 def phi_prime(s, alpha: float, beta: float, gamma: float):
     """Derivative of phi; constant 2 sqrt(alpha beta gamma) on the band."""
+    _check_box(alpha, beta, gamma)
     s = np.asarray(s, dtype=float)
     s2 = s * s
     lo = (alpha / beta) * gamma

@@ -3,6 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
+from coeffopt import optimize
 from coeffopt.cli import (
     build_parser,
     main,
@@ -143,6 +144,26 @@ def test_main_general_summary(tmp_path):
     text = (tmp_path / "mesh_fields.vtk").read_text()
     for name in ("t", "lambda1", "lambda2", "ratio"):
         assert f"SCALARS {name} float 1" in text
+
+
+@pytest.mark.parametrize("domain, size", [("disk", "0.2"), ("square", "6")])
+def test_general_at_zero_epsilon_solves_no_adjoint(monkeypatch, domain,
+                                                    size):
+    # the weight 1 + 0 * x1 assembles to the state load bit for bit, so
+    # the adjoint is the state itself: every solve has the state's load
+    real = optimize.solve_dirichlet
+    loads = []
+
+    def solve(system, rtol=1e-10, x0=None):
+        loads.append(system.rhs)
+        return real(system, rtol=rtol, x0=x0)
+
+    monkeypatch.setattr(optimize, "solve_dirichlet", solve)
+    s = resolve(["--experiment", "general-relaxed", "--domain", domain,
+                 "--h" if domain == "disk" else "--n", size])
+    result = run_experiment(s)
+    assert result["report"].iterations > 0
+    assert len(loads) > 1 and all(rhs is loads[0] for rhs in loads)
 
 
 def test_main_bad_settings_exit_2(tmp_path, capsys):

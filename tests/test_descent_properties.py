@@ -4,7 +4,8 @@ Every step the line search accepts strictly lowers the cost, so the
 cost history of ``compliance_descent`` (any penalty variant, any
 initial coefficient) and of the laminate descent (any cost tilt) is
 strictly decreasing on any mesh, with one step and one ratio per
-accepted update and every step in (0, 1].
+accepted update and every step in (0, 1].  Each ratio is the relative
+change the stop test reads, so every one but the last is at least tol.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from coeffopt.optimize import (
     DescentConfig,
-    LinearCost,
     compliance_descent,
     general_relaxed_optimize,
 )
@@ -34,6 +34,11 @@ def check_history(rep):
     assert rep.iterations == len(rep.steps) == len(rep.ratios)
     assert len(rep.costs) == rep.iterations + 1
     assert all(0.0 < s <= 1.0 for s in rep.steps)
+    c = rep.costs
+    scale = max(abs(c[0]), 1e-300)
+    assert rep.ratios == [abs(c[k + 1] - c[k]) / scale
+                          for k in range(rep.iterations)]
+    assert all(r >= DescentConfig().tol for r in rep.ratios[:-1])
 
 
 @st.composite
@@ -68,6 +73,6 @@ def test_compliance_cost_history_strictly_decreases(case):
 @given(meshes, st.floats(-0.9, 0.9), st.floats(0.1, 0.4))
 def test_laminate_cost_history_strictly_decreases(mesh, tilt, tau):
     weight = 1.0 + tilt * mesh.vertices[:, 0]
-    rep = general_relaxed_optimize(mesh, 1.0, LinearCost(weight), tau ** 2,
+    rep = general_relaxed_optimize(mesh, 1.0, weight, tau ** 2,
                                    1.0, 2.0, DescentConfig(max_iters=15))[4]
     check_history(rep)

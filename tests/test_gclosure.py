@@ -314,5 +314,17 @@ def test_validation():
         optimal_t(1.0, 0.25, np.array([0.5, np.nan]), A, B)
     with pytest.raises(ValueError):
         d2_lambda2_bounds(np.nan, A, B)
+    # a NaN bound compares false both ways and gave a NaN tensor
+    tensor = np.array([1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="lo <= hi"):
+        clamp_spectrum(tensor, np.nan, 2.0)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        clamp_spectrum(tensor, 0.5, np.nan)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        clamp_spectrum(np.stack([tensor, tensor]), [0.5, np.nan], 2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        fraction_from_harmonic(np.nan, 1.0, 2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        fraction_from_harmonic(np.array([1.5, np.nan]), 1.0, 2.0)
     with pytest.raises(ValueError):
         d2_lambda2_bounds(np.array([1.5, np.nan]), A, B)

@@ -12,7 +12,6 @@ from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from coeffopt.oracles import counterexample_fields, ex11_ball
 from coeffopt.optimize import (
     DescentConfig,
-    LinearCost,
     compliance_descent,
     energy_relaxed_solve,
     general_relaxed_optimize,
@@ -28,21 +27,19 @@ def test_config_validation():
         DescentConfig(tol=float("nan"))
     with pytest.raises(ValueError):
         DescentConfig(max_iters=0)
+    # a float cap was accepted and failed in range() after the first solve
+    for cap in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="max_iters"):
+            DescentConfig(max_iters=cap)
+    assert DescentConfig(max_iters=np.int64(3)).max_iters == 3
 
 
-def test_linear_cost():
+def test_general_rejects_wrong_length_weight():
     m = build_unit_square_mesh(4)
-    u = np.ones(m.n_vertices)
-    c = LinearCost(2.0)
-    # int 2 u with u == 1 on a unit square, up to the boundary rows of
-    # the load vector which weight every vertex
-    assert abs(c.load(m) @ u - 2.0) < 1e-13
-    # the state load of an equal f, bit for bit: the descent takes p = u
-    assert np.array_equal(c.load(m), assemble_load(m, 2.0))
-    w = np.ones(m.n_vertices)
-    assert np.array_equal(LinearCost(w).load(m), assemble_load(m, w))
-    with pytest.raises(ValueError):
-        LinearCost(np.ones(3)).load(m)
+    with pytest.raises(ValueError, match="nodal source"):
+        general_relaxed_optimize(m, 1.0, np.ones(3), 0.05, 1.0, 2.0)
+    with pytest.raises(ValueError, match="nodal source"):
+        general_relaxed_optimize(m, 1.0, np.ones(m.n_cells), 0.05, 1.0, 2.0)
 
 
 def test_compliance_quadratic_disk():
@@ -159,6 +156,38 @@ def test_energy_relaxed_square():
     assert t.max() > 0.9 and t.min() < 0.1
 
 
+def test_energy_ratios_are_the_stop_test():
+    m = build_unit_square_mesh(16)
+    rep = energy_relaxed_solve(m, 1.0, 1.0, 2.0, 0.0142)[3]
+    assert rep.converged and rep.iterations > 2
+    assert rep.steps == [1.0] * rep.iterations
+    # the ratio column is the stop test's relative change, bit for bit:
+    # every update but the last changed the cost by tol or more
+    c, tol = rep.costs, DescentConfig().tol
+    assert rep.ratios == [abs(c[k + 1] - c[k]) / abs(c[0])
+                          for k in range(rep.iterations)]
+    assert all(r >= tol for r in rep.ratios[:-1]) and rep.ratios[-1] < tol
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_energy_iteration_cap(monkeypatch, k):
+    real = optimize.solve_dirichlet
+    solves = []
+
+    def solve(system, rtol=1e-10, x0=None):
+        solves.append(x0 is None)
+        return real(system, rtol=rtol, x0=x0)
+
+    monkeypatch.setattr(optimize, "solve_dirichlet", solve)
+    m = build_unit_square_mesh(8)
+    rep = energy_relaxed_solve(m, 1.0, 1.0, 2.0, 0.0142,
+                               DescentConfig(max_iters=k, tol=1e-300))[3]
+    assert rep.iterations == k and not rep.converged
+    assert len(rep.costs) == k + 1
+    # one cold initial solve, then one warm state solve per iteration
+    assert solves == [True] + [False] * k
+
+
 def test_energy_gamma_to_zero_limit():
     # as gamma -> 0 the mass term vanishes and the energy is minimized
     # by the softest admissible conductivity: t -> 1 (all alpha) and the
@@ -188,7 +217,7 @@ def test_general_layered_self_adjoint():
     m = build_unit_disk_mesh(0.1)
     tau = 0.23539
     t, A, u, p, rep = general_relaxed_optimize(
-        m, 1.0, LinearCost(1.0), tau ** 2, 1.0, 2.0)
+        m, 1.0, 1.0, tau ** 2, 1.0, 2.0)
     assert rep.converged and not rep.stagnated
     assert np.array_equal(p, u)
     lam1, lam2, _, _ = eig_sym_2x2(A)
@@ -208,7 +237,7 @@ def test_general_feasibility_invariants():
     cen = m.cell_centroids()
     weight_nodes = 1.0 + 0.5 * m.vertices[:, 0]
     t, A, u, p, rep = general_relaxed_optimize(
-        m, 1.0, LinearCost(weight_nodes), tau ** 2, 1.0, 2.0)
+        m, 1.0, weight_nodes, tau ** 2, 1.0, 2.0)
     assert np.all(t >= 0.0) and np.all(t <= 1.0)
     mu, nu = lamination_means(t, 1.0, 2.0)
     lam1, lam2, _, _ = eig_sym_2x2(A)
@@ -223,7 +252,7 @@ def test_general_phases_where_means_round_past_a_phase():
     # above the arithmetic one unless lamination_means caps it
     m = build_unit_disk_mesh(0.1)
     t, A, u, p, rep = general_relaxed_optimize(
-        m, 1.0, LinearCost(1.0), 0.23539 ** 2, 0.2, 0.4)
+        m, 1.0, 1.0, 0.23539 ** 2, 0.2, 0.4)
     assert rep.iterations > 0 and not rep.stagnated
     assert np.all(np.diff(rep.costs) < 0.0)
     assert np.all(t >= 0.0) and np.all(t <= 1.0)
@@ -236,9 +265,9 @@ def test_general_phases_where_means_round_past_a_phase():
 def test_general_deterministic():
     m = build_unit_disk_mesh(0.2)
     tau = 0.23539
-    r1 = general_relaxed_optimize(m, 1.0, LinearCost(1.0), tau ** 2,
+    r1 = general_relaxed_optimize(m, 1.0, 1.0, tau ** 2,
                                   1.0, 2.0)[4]
-    r2 = general_relaxed_optimize(m, 1.0, LinearCost(1.0), tau ** 2,
+    r2 = general_relaxed_optimize(m, 1.0, 1.0, tau ** 2,
                                   1.0, 2.0)[4]
     assert r1.costs == r2.costs
     assert r1.steps == r2.steps
@@ -247,7 +276,7 @@ def test_general_deterministic():
 def test_general_validates_g_field():
     m = build_unit_square_mesh(4)
     with pytest.raises(ValueError):
-        general_relaxed_optimize(m, 1.0, LinearCost(1.0),
+        general_relaxed_optimize(m, 1.0, 1.0,
                                  np.ones(m.n_cells + 2), 1.0, 2.0)
 
 
@@ -298,7 +327,7 @@ def _run_compliance():
 
 def _run_general():
     m = build_unit_disk_mesh(0.2)
-    return general_relaxed_optimize(m, 1.0, LinearCost(1.0), 0.23539 ** 2,
+    return general_relaxed_optimize(m, 1.0, 1.0, 0.23539 ** 2,
                                     1.0, 2.0, DescentConfig(max_iters=20))[4]
 
 
@@ -346,7 +375,7 @@ def _fail_warm_state_solves(monkeypatch):
 def _run_tilted():
     m = build_unit_disk_mesh(0.2)
     weight = 1.0 + 0.5 * m.vertices[:, 0]
-    return general_relaxed_optimize(m, 1.0, LinearCost(weight), 0.23539 ** 2,
+    return general_relaxed_optimize(m, 1.0, weight, 0.23539 ** 2,
                                     1.0, 2.0)[4]
 
 
@@ -430,7 +459,7 @@ def test_self_adjoint_run_solves_no_adjoint(monkeypatch):
     log = _SolverLog(monkeypatch)
     m = build_unit_disk_mesh(0.1)
     t, A, u, p, rep = general_relaxed_optimize(
-        m, 1.0, LinearCost(1.0), 0.23539 ** 2, 1.0, 2.0)
+        m, 1.0, 1.0, 0.23539 ** 2, 1.0, 2.0)
     assert p is u
     trials = [s for s in log.solves if s.state and s.warm]
     assert len(log.solves) == 1 + len(trials)
@@ -444,7 +473,7 @@ def test_tilted_adjoint_reuses_the_accepted_operator(monkeypatch, h):
     log = _SolverLog(monkeypatch)
     m = build_unit_disk_mesh(h)
     weight = 1.0 + 0.5 * m.vertices[:, 0]
-    rep = general_relaxed_optimize(m, 1.0, LinearCost(weight),
+    rep = general_relaxed_optimize(m, 1.0, weight,
                                    0.23539 ** 2, 1.0, 2.0)[4]
     assert rep.converged
     state = [s for s in log.solves if s.state]

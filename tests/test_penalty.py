@@ -203,6 +203,21 @@ def test_phi_frozen_value():
                - 0.0365685424949238) < 1e-15
 
 
+@pytest.mark.parametrize("fn", [phi_eval, phi_prime])
+def test_phi_validates_parameters(fn):
+    # swapped phases gave 1.9, a NaN gamma nan and a negative gamma a
+    # bare math domain error
+    with pytest.raises(ValueError, match="alpha < beta"):
+        fn(1.0, 2.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="alpha < beta"):
+        fn(1.0, 0.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="alpha < beta"):
+        fn(1.0, np.nan, 2.0, 0.1)
+    for gamma in (np.nan, -0.1, 0.0, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            fn(1.0, 1.0, 2.0, gamma)
+
+
 def test_phi_piecewise_structure():
     alpha, beta, gamma = 1.0, 2.0, 0.02
     lo = math.sqrt(alpha / beta * gamma)
