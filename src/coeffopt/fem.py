@@ -406,12 +406,18 @@ def _gershgorin(A: sp.csr_matrix):
 def _chebyshev_weights(A: sp.csr_matrix):
     """(w1, w2): the Jacobi weights 1 / (r diag(A)) at the two roots r of
     the degree-2 Chebyshev polynomial on [rho / 10, rho], theta -+ delta
-    cos(pi / 4); two sweeps with them are degree-2 Chebyshev smoothing."""
+    cos(pi / 4); two sweeps with them are degree-2 Chebyshev smoothing.
+    Weights that overflow (subnormal stiffness entries) raise
+    ``SolverFailure`` here, before CG would run on NaN."""
     diag, rho = _gershgorin(A)
     theta = 0.5 * (1.0 + _SMOOTH_FLOOR) * rho
     delta = 0.5 * (1.0 - _SMOOTH_FLOOR) * rho
     half = delta * np.cos(0.25 * np.pi)
-    return 1.0 / ((theta - half) * diag), 1.0 / ((theta + half) * diag)
+    with np.errstate(over="ignore", divide="ignore"):
+        w = 1.0 / ((theta - half) * diag), 1.0 / ((theta + half) * diag)
+    if not np.isfinite(w).all():
+        raise SolverFailure("multigrid smoother weights are not finite")
+    return w
 
 
 def _coarse_levels(A: sp.csr_matrix, transfers=None):
@@ -441,8 +447,12 @@ def _coarse_levels(A: sp.csr_matrix, transfers=None):
     # the coarsest inverse from its Cholesky factor; L^-T L^-1 is formed
     # as one symmetric product
     Linv = np.linalg.inv(L)
+    with np.errstate(over="ignore"):
+        inverse = Linv.T @ Linv
+    if not np.isfinite(inverse).all():
+        raise SolverFailure("coarsest multigrid inverse is not finite")
     levels = [(Ac, _chebyshev_weights(Ac)) for Ac in ops[1:-1]]
-    return transfers, levels, Linv.T @ Linv
+    return transfers, levels, inverse
 
 
 def _pencil_extremes(a, b):
@@ -594,8 +604,8 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     SolverFailure
         If CG stops without reaching the tolerance (the message reports
         the achieved relative residual), or if the multigrid set-up
-        fails: a level that aggregation cannot halve, or a coarsest
-        operator that is not positive definite.
+        fails: a level that aggregation cannot halve, a coarsest
+        operator that is not positive definite, or an overflow.
     IllPosedCoefficientError
         If the reduced matrix has a nonpositive diagonal entry.
     """

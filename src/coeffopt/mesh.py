@@ -101,7 +101,7 @@ class Mesh:
         tri = self.triangles
         if tri.min() < 0 or tri.max() >= nv:
             raise MeshCorruptionError("triangle refers to a nonexistent vertex")
-        if len({(self.boundary.shape[0]), nv}) != 1:
+        if self.boundary.shape != (nv,):
             raise MeshCorruptionError("boundary flag array has wrong length")
         if not np.all(self.cell_areas > 0.0):
             c = int(np.flatnonzero(self.cell_areas <= 0.0)[0])

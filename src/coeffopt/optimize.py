@@ -173,8 +173,8 @@ def _backtrack(trial_at, J: float, step: float):
     return None, True
 
 
-def _smoothed_cell_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Cell gradient of u after one cell-vertex-cell averaging pass.
+def _smoothed_cell_gradient(mesh: Mesh, grads: np.ndarray) -> np.ndarray:
+    """A cell gradient field after one cell-vertex-cell averaging pass.
 
     The per-cell P0 gradient carries a mesh-scale alternating component
     (adjacent triangles of a structured mesh see systematically split
@@ -183,7 +183,6 @@ def _smoothed_cell_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     from this filtered field; the pass annihilates the alternating mode
     and perturbs smooth fields only at O(h^2).
     """
-    grads = cell_gradient(mesh, u)
     tri = mesh.triangles
     w = np.repeat(mesh.cell_areas, 3)
     idx = tri.ravel()
@@ -215,6 +214,14 @@ def _initial_coefficient(mesh: Mesh, spec: pen.PenaltySpec, a0):
     return pen.project_to_domain(spec, _per_cell(mesh, a0, "a0"))
 
 
+def _cost_gradient(spec: pen.PenaltySpec, a: np.ndarray,
+                   gsq: np.ndarray) -> np.ndarray:
+    """Per-cell gradient psi'(a) - |grad u|^2 of J(a) = int(f u(a) +
+    psi(a)), psi halved when spec.half; gsq is |grad u(a)|^2."""
+    factor = 0.5 if spec.half else 1.0
+    return factor * pen.psi_prime(spec, a) - gsq
+
+
 def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
                        config: DescentConfig | None = None):
     """Minimize int(f u(a) + psi(a)) over per-cell scalar coefficients.
@@ -227,7 +234,6 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
     point (stationary on the active set): the run has converged.
     """
     config = config or DescentConfig()
-    factor = 0.5 if spec.half else 1.0
     asm = StiffnessAssembler(mesh)
     load = assemble_load(mesh, f)
     ref = spec.beta if spec.is_box else None
@@ -240,8 +246,7 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
     eps = 0.1 * _STEP_CAP
 
     for _ in range(config.max_iters):
-        gsq = grad_norm_sq(mesh, u)
-        dirn = gsq - factor * pen.psi_prime(spec, a)
+        dirn = -_cost_gradient(spec, a, grad_norm_sq(mesh, u))
         dmax = float(np.max(np.abs(dirn)))
         if dmax == 0.0:
             report.converged = True
@@ -282,8 +287,6 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     affine-box recovery from the final gradients.
     """
     config = config or DescentConfig()
-    if not (gamma > 0.0):
-        raise ValueError("gamma must be positive")
     spec_eff = pen.PenaltySpec("affine-box", alpha=alpha, beta=beta,
                                gamma=gamma, half=True)
     asm = StiffnessAssembler(mesh)
@@ -304,14 +307,10 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     u, gsq, J = state(t, None)
     report = OptReport(costs=[J])
     for _ in range(config.max_iters):
-        s = np.sqrt(gsq)
+        # a vanishing gradient: nu = inf, clipped to beta, so t = 0
         with np.errstate(divide="ignore"):
-            nu_new = np.where(s > 0.0, nu_star_num / np.where(s > 0.0, s, 1.0),
-                              np.inf)
-        t_new = np.where(s > 0.0,
-                         fraction_from_harmonic(np.clip(nu_new, alpha, beta),
-                                                alpha, beta),
-                         0.0)
+            t_new = fraction_from_harmonic(nu_star_num / np.sqrt(gsq),
+                                           alpha, beta)
         if np.array_equal(t_new, t):
             report.converged = True
             break
@@ -358,23 +357,16 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
     descent direction at fixed fraction; that step is what realizes
     the laminate on cells whose state and adjoint gradients genuinely
     disagree.  Laminate axes always come from the raw gradients.
-    Returns
-    (t, A, u, p, report); A in (a11, a12, a22) column storage.
+    Returns (t, A, u, p, report); A in (a11, a12, a22) column storage.
 
     The cost integrand is j(x, s) = weight(x) s, with weight a constant
     or a nodal array (ValueError for a wrong-length one).  It is
     assembled once, like a source term: that vector w is both the cost
-    (w . u) and the adjoint right-hand side.  When w equals the state
-    load bit for bit (a weight equal to f, the compliance case), p is u
-    itself and no adjoint is solved.  In the loop that is exactly what
-    the solve would return: it would repeat the state's solve from the
-    same warm start.  (The final adjoint of a run whose last iteration
-    accepts no step is u as well, where a re-solve from x0 = u could
-    move it by a CG step inside the tolerance.)  Otherwise the adjoint
-    is solved with the assembled matrix of the accepted trial, or of
-    the initial state; the matrix is dropped after that solve, so the
-    final adjoint of a run whose last iteration accepts no step
-    assembles it again.
+    (w . u) and the adjoint right-hand side.  p is solved after the
+    initial state and after each accepted update, with the matrix of
+    that state's solve.  When w equals the state load bit for bit (a
+    weight equal to f, the compliance case), p is u itself and no
+    adjoint is solved.
     """
     config = config or DescentConfig()
     asm = StiffnessAssembler(mesh)
@@ -383,11 +375,8 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
     self_adjoint = np.array_equal(w, load)
     g = _per_cell(mesh, g_field, "g_field")
 
-    def adjoint(K, A, u, p):
-        # K: the assembled matrix of A, or None when none was kept
-        if self_adjoint:
-            return u
-        return _solve(K if K is not None else asm.assemble(A), w, x0=p)
+    def adjoint(K, u, p):
+        return u if self_adjoint else _solve(K, w, x0=p)
 
     def total_cost(u, mu):
         return float(w @ u) + float(mesh.cell_areas @ (g * mu))
@@ -397,21 +386,19 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
     A = np.column_stack([nu, np.zeros(mesh.n_cells), nu])
     K = asm.assemble(A)
     u = _solve(K, load)
+    p = adjoint(K, u, None)
     J = total_cost(u, mu)
     report = OptReport(costs=[J])
-    p = None
 
     eps = _STEP_CAP
     for _ in range(config.max_iters):
-        p = adjoint(K, A, u, p)
-        K = None  # not kept through the trials, which assemble their own
         gu = cell_gradient(mesh, u)
-        gu_s = _smoothed_cell_gradient(mesh, u)
+        gu_s = _smoothed_cell_gradient(mesh, gu)
         if p is u:
             gp, gp_s = gu, gu_s
         else:
             gp = cell_gradient(mesh, p)
-            gp_s = _smoothed_cell_gradient(mesh, p)
+            gp_s = _smoothed_cell_gradient(mesh, gp)
         norm_u = np.hypot(gu_s[:, 0], gu_s[:, 1])
         norm_p = np.hypot(gp_s[:, 0], gp_s[:, 1])
         dot = gu_s[:, 0] * gp_s[:, 0] + gu_s[:, 1] * gp_s[:, 1]
@@ -433,8 +420,7 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
 
         # the Hamiltonian maximizers over the fraction target's box and
         # over the current box, from one pass over the gradients
-        mu_c, nu_c = lamination_means(t, alpha, beta)
-        mu_b, nu_b = np.stack([mu_h, mu_c]), np.stack([nu_h, nu_c])
+        mu_b, nu_b = np.stack([mu_h, mu]), np.stack([nu_h, nu])
         a_hat, a_box = clamp_spectrum(optimal_laminate(gu, gp, mu_b, nu_b),
                                       nu_b, mu_b)
         if np.array_equal(t_hat, t) and np.array_equal(a_hat, A) \
@@ -456,10 +442,11 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
         if hit is None:
             report.stagnated = True
             break
-        eps_used, J, (t, A, mu_n, nu_n, u, K) = hit
+        eps_used, J, (t, A, mu, nu, u, K) = hit
+        p = adjoint(K, u, p)
 
         lam1, lam2, _, _ = eig_sym_2x2(A)
-        if np.any(lam1 < nu_n - 1e-10) or np.any(lam2 > mu_n + 1e-10):
+        if np.any(lam1 < nu - 1e-10) or np.any(lam2 > mu + 1e-10):
             raise InternalConsistencyError(
                 "updated tensor left the lamination box"
             )
@@ -469,9 +456,6 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
         if not used_fallback:
             eps = min(2.0 * eps_used, _STEP_CAP)
 
-    # the loop's adjoint lags one accepted update; pair it with the
-    # final tensor
-    p = adjoint(K, A, u, p)
     return t, A, u, p, report
 
 
@@ -479,11 +463,11 @@ def gradient_check(mesh: Mesh, f, spec: pen.PenaltySpec, a: np.ndarray,
                    direction: np.ndarray, h: float = 1e-6):
     """Analytic directional derivative of J versus central differences.
 
-    dJ(a)[d] = int d (psi'(a) - |grad u|^2) against
-    (J(a + h d) - J(a - h d)) / (2 h); both sides share one tightly
-    solved state per evaluation.  Returns (analytic, fd, rel_mismatch).
+    dJ(a)[d] = int d (psi'(a) - |grad u|^2), the gradient the descent
+    steps against (``_cost_gradient``), versus (J(a + h d) - J(a - h d))
+    / (2 h); both sides share one tightly solved state per evaluation.
+    Returns (analytic, fd, rel_mismatch).
     """
-    factor = 0.5 if spec.half else 1.0
     asm = StiffnessAssembler(mesh)
     load = assemble_load(mesh, f)
 
@@ -494,10 +478,8 @@ def gradient_check(mesh: Mesh, f, spec: pen.PenaltySpec, a: np.ndarray,
     a = np.asarray(a, dtype=float)
     direction = np.asarray(direction, dtype=float)
     u = _solve(asm.assemble(a), load, rtol=_CHECK_RTOL)
-    gsq = grad_norm_sq(mesh, u)
-    analytic = float(
-        mesh.cell_areas @ (direction * (factor * pen.psi_prime(spec, a) - gsq))
-    )
+    grad = _cost_gradient(spec, a, grad_norm_sq(mesh, u))
+    analytic = float(mesh.cell_areas @ (direction * grad))
     fd = (cost(a + h * direction) - cost(a - h * direction)) / (2.0 * h)
     rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-300)
     return analytic, fd, rel

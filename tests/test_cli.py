@@ -177,6 +177,19 @@ def test_main_bad_settings_exit_2(tmp_path, capsys):
         assert not (tmp_path / "summary.txt").exists()
 
 
+def test_main_unknown_config_choice_exit_2(tmp_path, capsys):
+    # the config file bypasses argparse's choices; the settings check
+    # catches what the flags would have
+    cfg = tmp_path / "run.cfg"
+    for line, message in (("experiment = bogus", "unknown experiment"),
+                          ("domain = cube", "unknown domain")):
+        cfg.write_text(line + "\n")
+        rc = main(["--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
+
+
 def test_main_unknown_flag_exit_2():
     assert main(["--frobnicate"]) == 2
 

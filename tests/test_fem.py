@@ -196,6 +196,12 @@ def test_point_load_outside_rejected():
         assemble_point_load(m, (1.2, 0.0))
 
 
+def test_point_load_location_must_be_a_2_point():
+    m = build_unit_square_mesh(4)
+    with pytest.raises(ValueError, match="2-point"):
+        assemble_point_load(m, (0.5, 0.5, 0.0))
+
+
 def test_load_dispatch_point_load():
     m = build_unit_square_mesh(4)
     b1 = assemble_load(m, PointLoad((0.5, 0.5), 3.0))
@@ -361,6 +367,36 @@ def test_aggregation_that_cannot_halve_fails():
 
     with pytest.raises(SolverFailure, match="could not halve"):
         fem._coarse_levels(sp.identity(400, format="csr"))
+
+
+def test_subnormal_coefficient_fails_before_cg(monkeypatch):
+    # 1e-310 passes the coefficient checks, but its stiffness entries
+    # are subnormal and the multigrid set-up overflows; the solve fails
+    # there instead of running CG on NaN
+    import coeffopt.fem as fem
+
+    def cg(*args, **kwargs):
+        raise AssertionError("CG ran after a failed set-up")
+
+    monkeypatch.setattr(fem, "cg", cg)
+    m = build_unit_square_mesh(8)
+    with pytest.raises(SolverFailure, match="not finite"):
+        fresh_solve(m, np.full(m.n_cells, 1e-310), 1.0)
+
+
+def test_overflowing_smoother_weights_fail():
+    import coeffopt.fem as fem
+
+    with pytest.raises(SolverFailure, match="smoother weights"):
+        fem._chebyshev_weights(sp.diags([1e-310] * 4, format="csr"))
+
+
+def test_underflowing_stiffness_diagonal_is_ill_posed():
+    # 5e-324 is positive, but diagonal stiffness entries round to zero
+    m = build_unit_square_mesh(8)
+    with pytest.raises(IllPosedCoefficientError,
+                       match="nonpositive stiffness diagonal"):
+        fresh_solve(m, np.full(m.n_cells, 5e-324), 1.0)
 
 
 def square_64_problem():

@@ -113,6 +113,19 @@ def test_mesh_validates_indices():
              np.zeros((1, 3, 2)))
 
 
+def test_mesh_validates_boundary_and_areas():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2]])
+    grads = np.zeros((1, 3, 2))
+    for boundary in (np.zeros(2, dtype=bool), np.zeros((3, 1), dtype=bool)):
+        with pytest.raises(MeshCorruptionError, match="wrong length"):
+            Mesh(verts, tris, boundary, np.array([0.5]), grads)
+    for area in (0.0, -0.5):
+        with pytest.raises(MeshCorruptionError, match="nonpositive area"):
+            Mesh(verts, tris, np.zeros(3, dtype=bool), np.array([area]),
+                 grads)
+
+
 def test_mesh_arrays_read_only():
     m = build_unit_square_mesh(2)
     with pytest.raises(ValueError):

@@ -145,6 +145,27 @@ def test_gradient_check_zero_direction():
     assert abs(fd) < 1e-12
 
 
+def test_gradient_check_checks_the_descent_gradient(monkeypatch):
+    # criterion 2 checks the gradient the descent steps along: both
+    # take it from one function
+    calls = []
+    real = optimize._cost_gradient
+
+    def recording(spec, a, gsq):
+        calls.append(real(spec, a, gsq))
+        return calls[-1]
+
+    monkeypatch.setattr(optimize, "_cost_gradient", recording)
+    m = build_unit_square_mesh(4)
+    spec = PenaltySpec("affine-box", gamma=0.0142, half=True)
+    compliance_descent(m, 1.0, spec, DescentConfig(max_iters=1))
+    assert len(calls) == 1
+    d = np.linspace(-1.0, 1.0, m.n_cells)
+    analytic, _, _ = gradient_check(m, 1.0, spec, np.full(m.n_cells, 1.5), d)
+    assert len(calls) == 2
+    assert analytic == float(m.cell_areas @ (d * calls[1]))
+
+
 def test_energy_relaxed_square():
     m = build_unit_square_mesh(16)
     t, a_eff, u, rep = energy_relaxed_solve(m, 1.0, 1.0, 2.0, 0.0142)
@@ -489,3 +510,19 @@ def test_tilted_adjoint_reuses_the_accepted_operator(monkeypatch, h):
     assert all(s.builds == 1 for s in log.solves)
     assert log.live_at_assembly == [0] * log.assembled
     assert all(s.live_vcycles == 0 for s in log.solves)
+
+
+def test_stalled_run_solves_each_adjoint_once(monkeypatch):
+    # every trial fails, so the run stops on its first line search; its
+    # adjoint was solved right after the initial state, with that
+    # state's matrix, and is not solved again
+    failures = _fail_warm_state_solves(monkeypatch)
+    log = _SolverLog(monkeypatch)
+    rep = _run_tilted()
+    assert rep.stagnated and rep.iterations == 0
+    state = [s for s in log.solves if s.state]
+    adjoints = [s for s in log.solves if not s.state]
+    assert len(adjoints) == rep.iterations + 1
+    assert all(s.reused for s in adjoints)
+    # one assembly per state solve, the failed trials included
+    assert log.assembled == len(state) + len(failures)
