@@ -48,7 +48,6 @@ from .oracles import (
     upsilon,
 )
 from .optimize import (
-    DescentConfig,
     InternalConsistencyError,
     OptReport,
     compliance_descent,

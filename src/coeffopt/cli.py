@@ -31,7 +31,6 @@ import numpy as np
 from .gclosure import eig_sym_2x2
 from .mesh import build_unit_disk_mesh, build_unit_square_mesh, write_vtk
 from .optimize import (
-    DescentConfig,
     compliance_descent,
     energy_relaxed_solve,
     general_relaxed_optimize,
@@ -176,10 +175,6 @@ def _build_mesh(settings):
     return build_unit_disk_mesh(settings["h"])
 
 
-def _descent_config(settings) -> DescentConfig:
-    return DescentConfig(tol=settings["tol"], max_iters=settings["max_iters"])
-
-
 def _phase_summary(mesh, field, alpha, beta, domain, summary):
     mid = 0.5 * (alpha + beta)
     total = float(mesh.cell_areas.sum())
@@ -191,7 +186,8 @@ def _phase_summary(mesh, field, alpha, beta, domain, summary):
 
 
 def _run_scalar_descent(mesh, settings, spec):
-    a, u, report = compliance_descent(mesh, 1.0, spec, _descent_config(settings))
+    a, u, report = compliance_descent(mesh, 1.0, spec, tol=settings["tol"],
+                                      max_iters=settings["max_iters"])
     summary = {}
     if spec.is_box:
         _phase_summary(mesh, a, spec.alpha, spec.beta, settings["domain"],
@@ -203,7 +199,7 @@ def _run_scalar_descent(mesh, settings, spec):
 def _run_energy(mesh, settings):
     t, a_eff, u, report = energy_relaxed_solve(
         mesh, 1.0, settings["alpha"], settings["beta"], settings["gamma"],
-        _descent_config(settings))
+        tol=settings["tol"], max_iters=settings["max_iters"])
     summary = {"mean_t": float(mesh.cell_areas @ t / mesh.cell_areas.sum())}
     _phase_summary(mesh, a_eff, settings["alpha"], settings["beta"],
                    settings["domain"], summary)
@@ -218,7 +214,7 @@ def _run_general(mesh, settings):
     g = settings["tau"] ** 2
     t, tensor, u, p, report = general_relaxed_optimize(
         mesh, 1.0, weight, g, settings["alpha"], settings["beta"],
-        _descent_config(settings))
+        tol=settings["tol"], max_iters=settings["max_iters"])
     lam1, lam2, _, _ = eig_sym_2x2(tensor)
     ratio = lam2 / lam1
     summary = {

@@ -277,6 +277,8 @@ class StiffnessAssembler:
             raise IllPosedCoefficientError(
                 f"nonpositive stiffness diagonal at reduced index {i}"
             )
+        # before any coarse build: weights that overflow raise here
+        weights = _chebyshev_weights(A)
         parts = _tensor_parts(self.mesh, matrix.coefficient)
         # with no coarse level the coarsest inverse is A's own
         if (self._coarse is None or not self._transfers
@@ -285,14 +287,14 @@ class StiffnessAssembler:
             transfers, levels, inverse = _coarse_levels(A, self._transfers)
             self._transfers, self._coarse = transfers, (levels, inverse)
             self._reference = parts
-        return A, self.preconditioner(A)
+        return A, self.preconditioner(A, weights)
 
-    def preconditioner(self, A: sp.csr_matrix) -> LinearOperator:
+    def preconditioner(self, A: sp.csr_matrix, weights) -> LinearOperator:
         """Symmetric V-cycle for the reduced matrix A, as an SPD operator:
         A and its smoother weights on the finest level, below it the
         coarse levels ``operators`` keeps for A's coefficient."""
         coarse_levels, inverse = self._coarse
-        levels = [(A, _chebyshev_weights(A))] + coarse_levels
+        levels = [(A, weights)] + coarse_levels
         transfers = self._transfers
         # the dtype is given, so scipy does not probe it with a V-cycle
         return LinearOperator(
@@ -480,14 +482,17 @@ def _contrast(coeff, reference) -> float:
     both given as ``_tensor_parts``.
 
     With m and M these extremes, m K_ref <= K <= M K_ref for the
-    stiffness matrices, and so for their Galerkin operators too.
+    stiffness matrices, and so for their Galerkin operators too.  A
+    ratio that overflows (subnormal coefficients) gives an infinite
+    contrast, which rebuilds.
     """
-    if np.ndim(coeff[1]) == 0 and np.ndim(reference[1]) == 0:
-        # two scalar fields: a12 is 0.0 in both
-        ratio = coeff[0] / reference[0]
-        return float(np.max(ratio) / np.min(ratio))
-    low, high = _pencil_extremes(coeff, reference)
-    return float(np.max(high) / np.min(low))
+    with np.errstate(over="ignore", divide="ignore"):
+        if np.ndim(coeff[1]) == 0 and np.ndim(reference[1]) == 0:
+            # two scalar fields: a12 is 0.0 in both
+            ratio = coeff[0] / reference[0]
+            return float(np.max(ratio) / np.min(ratio))
+        low, high = _pencil_extremes(coeff, reference)
+        return float(np.max(high) / np.min(low))
 
 
 def _vcycle(levels, transfers, coarse, b, level):
@@ -662,7 +667,7 @@ def compliance(mesh: Mesh, f, u: np.ndarray) -> float:
 
 def cost_functional(mesh: Mesh, load: np.ndarray, u: np.ndarray,
                     coeff: np.ndarray, penalty) -> float:
-    """load . u + int psi(a), with psi halved per penalty.half.
+    """load . u + int psi(a), psi the penalty's.
 
     ``load`` is the assembled load vector of f, so the first term is
     int f u.  The coefficient must stay inside the penalty domain; an
@@ -675,5 +680,4 @@ def cost_functional(mesh: Mesh, load: np.ndarray, u: np.ndarray,
             f"infinite penalty cost: coefficient {coeff[c]!r} on cell {c} "
             "is outside the penalty domain"
         )
-    factor = 0.5 if penalty.half else 1.0
-    return float(load @ u) + factor * float(mesh.cell_areas @ vals)
+    return float(load @ u) + float(mesh.cell_areas @ vals)

@@ -242,6 +242,8 @@ def build_unit_disk_mesh(h: float) -> Mesh:
 
 # rows of one formatted block of write_vtk: bounds the text held in memory
 _VTK_BLOCK_ROWS = 8192
+# the title line of every file write_vtk writes
+_VTK_TITLE = "coeffopt fields"
 
 
 def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
@@ -252,8 +254,7 @@ def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
                  % tuple(block.ravel().tolist()))
 
 
-def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None,
-              title: str = "coeffopt fields") -> None:
+def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None) -> None:
     """Write the mesh and named fields as a legacy ASCII VTK file.
 
     Parameters
@@ -292,7 +293,7 @@ def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None,
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 2.0\n"
-                 f"{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 f"{_VTK_TITLE}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
                  f"POINTS {nv} float\n")
         _write_rows(fh, "%.12e %.12e 0.0", mesh.vertices)
         fh.write(f"CELLS {nt} {4 * nt}\n")

@@ -17,11 +17,14 @@ Three drivers share one history record, ``OptReport``:
 Both descents step by one backtracking line search with simple
 decrease (``_backtrack``), in which a trial whose solve raises
 ``SolverFailure`` or whose cost is not finite is a rejected step;
-failures of the initial, adjoint and final solves raise.  Every
-accepted step strictly decreases the cost and is recorded by
-``OptReport.accept``; runs stop on the relative change it returns,
-|J_k - J_{k-1}| / |J_0| < tol, on a projection fixed point
+failures of the initial and adjoint solves raise.  Every accepted step
+strictly decreases the cost and is recorded by ``OptReport.accept``;
+runs stop on the relative change it returns, |J_k - J_{k-1}| / |J_0| <
+tol, after max_iters updates, on a projection fixed point
 (stationarity), or - reported, not raised - on a stalled line search.
+Every driver takes its stop rule as the keywords ``tol`` and
+``max_iters``, checked before the first solve; the relaxed drivers
+start from the fraction t = ``_T0`` of alpha in every cell.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .gclosure import (
 from .mesh import Mesh
 
 __all__ = [
-    "DescentConfig",
     "OptReport",
     "InternalConsistencyError",
     "compliance_descent",
@@ -65,30 +67,6 @@ __all__ = [
 
 class InternalConsistencyError(RuntimeError):
     """An invariant the algorithm guarantees by construction failed."""
-
-
-@dataclass
-class DescentConfig:
-    """Stopping rule and initial design of a driver run.
-
-    tol is the relative-change stop, max_iters the iteration cap, and
-    a0 the initial design of the scalar descent; the relaxed drivers
-    start from the fraction t = 0.5 of alpha in every cell (``_T0``).
-    The line search has no settings (see ``_backtrack``); solves use
-    the ``solve_dirichlet`` tolerance.
-    """
-
-    tol: float = 1e-6
-    max_iters: int = 2000
-    a0: float | np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
-        if (not isinstance(self.max_iters, (int, np.integer))
-                or isinstance(self.max_iters, bool) or self.max_iters < 1):
-            raise ValueError(
-                f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -128,14 +106,29 @@ class OptReport:
         return ratio
 
 
+# the stop rule's defaults: relative-change tolerance, iteration cap
+_TOL = 1e-6
+_MAX_ITERS = 2000
 # the relaxed drivers' initial fraction of alpha, in every cell
 _T0 = 0.5
 # the line search's largest step multiplier and its trial budget
 _STEP_CAP = 1.0
 _MAX_TRIALS = 31
-# gradient_check's solve tolerance: tight enough that the central
-# difference measures the cost, not the solver error
+# gradient_check's solve tolerance, tight enough that the central
+# difference measures the cost, not the solver error, and its
+# difference step
 _CHECK_RTOL = 1e-13
+_CHECK_H = 1e-6
+
+
+def _check_stop(tol, max_iters) -> None:
+    """The stop rule: tol > 0 and an integer max_iters >= 1."""
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
+    if (not isinstance(max_iters, (int, np.integer))
+            or isinstance(max_iters, bool) or max_iters < 1):
+        raise ValueError(
+            f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 
 def _solve(K, rhs, x0=None, rtol=1e-10):
@@ -217,35 +210,36 @@ def _initial_coefficient(mesh: Mesh, spec: pen.PenaltySpec, a0):
 def _cost_gradient(spec: pen.PenaltySpec, a: np.ndarray,
                    gsq: np.ndarray) -> np.ndarray:
     """Per-cell gradient psi'(a) - |grad u|^2 of J(a) = int(f u(a) +
-    psi(a)), psi halved when spec.half; gsq is |grad u(a)|^2."""
-    factor = 0.5 if spec.half else 1.0
-    return factor * pen.psi_prime(spec, a) - gsq
+    psi(a)); gsq is |grad u(a)|^2."""
+    return pen.psi_prime(spec, a) - gsq
 
 
-def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
-                       config: DescentConfig | None = None):
+def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
+                       tol: float = _TOL, max_iters: int = _MAX_ITERS,
+                       a0: float | np.ndarray | None = None):
     """Minimize int(f u(a) + psi(a)) over per-cell scalar coefficients.
 
-    Returns (a, u, report).  The direction is |grad u|^2 - psi'(a)
-    (times the half factor on psi when set); each trial is projected
-    onto the penalty domain before the solve.  The first step is 0.1
-    against a direction normalized to the coefficient scale; a trial
-    the projection maps back onto the iterate is a projection fixed
-    point (stationary on the active set): the run has converged.
+    Returns (a, u, report).  The run starts from a0, a scalar or one
+    value per cell projected onto the penalty domain (default: the box
+    midpoint, or 1).  The direction is |grad u|^2 - psi'(a); each trial
+    is projected onto the penalty domain before the solve.  The first
+    step is 0.1 against a direction normalized to the coefficient scale;
+    a trial the projection maps back onto the iterate is a projection
+    fixed point (stationary on the active set): the run has converged.
     """
-    config = config or DescentConfig()
+    _check_stop(tol, max_iters)
     asm = StiffnessAssembler(mesh)
     load = assemble_load(mesh, f)
     ref = spec.beta if spec.is_box else None
 
-    a = _initial_coefficient(mesh, spec, config.a0)
+    a = _initial_coefficient(mesh, spec, a0)
     # no matrix is kept past its solve
     u = _solve(asm.assemble(a), load)
     J = cost_functional(mesh, load, u, a, spec)
     report = OptReport(costs=[J])
     eps = 0.1 * _STEP_CAP
 
-    for _ in range(config.max_iters):
+    for _ in range(max_iters):
         dirn = -_cost_gradient(spec, a, grad_norm_sq(mesh, u))
         dmax = float(np.max(np.abs(dirn)))
         if dmax == 0.0:
@@ -267,7 +261,7 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
             break
 
         eps, J, (a, u) = hit
-        if report.accept(J, eps) < config.tol:
+        if report.accept(J, eps) < tol:
             report.converged = True
             break
         eps = min(2.0 * eps, _STEP_CAP)
@@ -276,7 +270,8 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec,
 
 
 def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
-                         gamma: float, config: DescentConfig | None = None):
+                         gamma: float, *, tol: float = _TOL,
+                         max_iters: int = _MAX_ITERS):
     """Alternating minimization of the relaxed two-phase energy.
 
     Functional: int(nu_t/2 |grad u|^2 - f u + gamma (beta - mu_t)/2).
@@ -286,9 +281,9 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     stiff phase beta).  Returns (t, a_eff, u, report) with a_eff the
     affine-box recovery from the final gradients.
     """
-    config = config or DescentConfig()
+    _check_stop(tol, max_iters)
     spec_eff = pen.PenaltySpec("affine-box", alpha=alpha, beta=beta,
-                               gamma=gamma, half=True)
+                               gamma=gamma)
     asm = StiffnessAssembler(mesh)
     load = assemble_load(mesh, f)
     nu_star_num = np.sqrt(gamma * alpha * beta)
@@ -306,7 +301,7 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     t = np.full(mesh.n_cells, _T0)
     u, gsq, J = state(t, None)
     report = OptReport(costs=[J])
-    for _ in range(config.max_iters):
+    for _ in range(max_iters):
         # a vanishing gradient: nu = inf, clipped to beta, so t = 0
         with np.errstate(divide="ignore"):
             t_new = fraction_from_harmonic(nu_star_num / np.sqrt(gsq),
@@ -316,7 +311,7 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
             break
         t = t_new
         u, gsq, J = state(t, u)
-        if report.accept(J, 1.0) < config.tol:
+        if report.accept(J, 1.0) < tol:
             report.converged = True
             break
 
@@ -325,8 +320,8 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
 
 
 def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
-                             alpha: float, beta: float,
-                             config: DescentConfig | None = None):
+                             alpha: float, beta: float, *,
+                             tol: float = _TOL, max_iters: int = _MAX_ITERS):
     """Laminate descent for min int(j(x, u) + g(x) mu_t) over (t, A).
 
     The control is a per-cell pair (t, A) with spec(A) in
@@ -368,7 +363,7 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
     weight equal to f, the compliance case), p is u itself and no
     adjoint is solved.
     """
-    config = config or DescentConfig()
+    _check_stop(tol, max_iters)
     asm = StiffnessAssembler(mesh)
     load = assemble_load(mesh, f)
     w = assemble_load(mesh, weight)
@@ -391,7 +386,7 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
     report = OptReport(costs=[J])
 
     eps = _STEP_CAP
-    for _ in range(config.max_iters):
+    for _ in range(max_iters):
         gu = cell_gradient(mesh, u)
         gu_s = _smoothed_cell_gradient(mesh, gu)
         if p is u:
@@ -431,7 +426,7 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
 
         hit, _ = _backtrack(partial(trial_at, t_hat, a_hat), J, eps)
         used_fallback = False
-        if hit is None or report.change(hit[1]) < config.tol:
+        if hit is None or report.change(hit[1]) < tol:
             # fraction update blocked or exhausted; a move toward the
             # Hamiltonian maximizer inside the current box still
             # descends and realizes the laminate at fixed fraction
@@ -450,7 +445,7 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
             raise InternalConsistencyError(
                 "updated tensor left the lamination box"
             )
-        if report.accept(J, eps_used) < config.tol:
+        if report.accept(J, eps_used) < tol:
             report.converged = True
             break
         if not used_fallback:
@@ -460,12 +455,12 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
 
 
 def gradient_check(mesh: Mesh, f, spec: pen.PenaltySpec, a: np.ndarray,
-                   direction: np.ndarray, h: float = 1e-6):
+                   direction: np.ndarray):
     """Analytic directional derivative of J versus central differences.
 
     dJ(a)[d] = int d (psi'(a) - |grad u|^2), the gradient the descent
     steps against (``_cost_gradient``), versus (J(a + h d) - J(a - h d))
-    / (2 h); both sides share one tightly solved state per evaluation.
+    / (2 h), h = ``_CHECK_H``; every state is solved to ``_CHECK_RTOL``.
     Returns (analytic, fd, rel_mismatch).
     """
     asm = StiffnessAssembler(mesh)
@@ -480,6 +475,7 @@ def gradient_check(mesh: Mesh, f, spec: pen.PenaltySpec, a: np.ndarray,
     u = _solve(asm.assemble(a), load, rtol=_CHECK_RTOL)
     grad = _cost_gradient(spec, a, grad_norm_sq(mesh, u))
     analytic = float(mesh.cell_areas @ (direction * grad))
+    h = _CHECK_H
     fd = (cost(a + h * direction) - cost(a - h * direction)) / (2.0 * h)
     rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-300)
     return analytic, fd, rel

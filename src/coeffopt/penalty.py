@@ -10,11 +10,6 @@ PenaltySpec:
 
 The threshold counterexample penalty tau^2 * s on [1, 2] is a
 linear-box instance, see ``counterexample_penalty``.
-
-The ``half`` flag records whether the optimized functional carries
-psi/2 instead of psi (the energy track does, the compliance track does
-not).  Evaluation and derivatives here are always of the bare psi; cost
-assembly applies the factor.
 """
 
 from __future__ import annotations
@@ -63,15 +58,13 @@ class PenaltySpec:
     """Penalty variant plus its parameters.
 
     alpha, beta bound the box variants (0 < alpha < beta < inf); gamma
-    is the weight of the box variants, finite and positive.  half=True marks the psi/2 convention
-    of the energy track.
+    is the weight of the box variants, finite and positive.
     """
 
     variant: str
     alpha: float = 1.0
     beta: float = 2.0
     gamma: float | None = None
-    half: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:

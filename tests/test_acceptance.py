@@ -29,7 +29,6 @@ from coeffopt.gclosure import (
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from coeffopt.oracles import counterexample_fields, ex11_ball, ex14_ball
 from coeffopt.optimize import (
-    DescentConfig,
     compliance_descent,
     energy_relaxed_solve,
     general_relaxed_optimize,

@@ -13,12 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coeffopt import optimize
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
-from coeffopt.optimize import (
-    DescentConfig,
-    compliance_descent,
-    general_relaxed_optimize,
-)
+from coeffopt.optimize import compliance_descent, general_relaxed_optimize
 from coeffopt.penalty import VARIANTS, PenaltySpec
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -38,7 +35,7 @@ def check_history(rep):
     scale = max(abs(c[0]), 1e-300)
     assert rep.ratios == [abs(c[k + 1] - c[k]) / scale
                           for k in range(rep.iterations)]
-    assert all(r >= DescentConfig().tol for r in rep.ratios[:-1])
+    assert all(r >= optimize._TOL for r in rep.ratios[:-1])
 
 
 @st.composite
@@ -47,14 +44,13 @@ def compliance_cases(draw):
     (projected onto the penalty domain by the driver)."""
     mesh = draw(meshes)
     variant = draw(st.sampled_from(VARIANTS))
-    half = draw(st.booleans())
     if variant in ("linear-box", "affine-box"):
         beta = draw(st.floats(1.2, 4.0))
         spec = PenaltySpec(variant, alpha=1.0, beta=beta,
-                           gamma=draw(st.floats(0.001, 0.5)), half=half)
+                           gamma=draw(st.floats(0.001, 0.5)))
         lo, hi = 0.5, beta + 0.5
     else:
-        spec = PenaltySpec(variant, half=half)
+        spec = PenaltySpec(variant)
         lo, hi = 0.05, 4.0
     a0 = draw(arrays(float, mesh.n_cells, elements=st.floats(lo, hi)))
     return mesh, draw(st.floats(0.0, 2.0)), spec, a0
@@ -64,8 +60,7 @@ def compliance_cases(draw):
 @given(compliance_cases())
 def test_compliance_cost_history_strictly_decreases(case):
     mesh, f, spec, a0 = case
-    rep = compliance_descent(mesh, f, spec,
-                             DescentConfig(a0=a0, max_iters=25))[2]
+    rep = compliance_descent(mesh, f, spec, a0=a0, max_iters=25)[2]
     check_history(rep)
 
 
@@ -74,5 +69,5 @@ def test_compliance_cost_history_strictly_decreases(case):
 def test_laminate_cost_history_strictly_decreases(mesh, tilt, tau):
     weight = 1.0 + tilt * mesh.vertices[:, 0]
     rep = general_relaxed_optimize(mesh, 1.0, weight, tau ** 2,
-                                   1.0, 2.0, DescentConfig(max_iters=15))[4]
+                                   1.0, 2.0, max_iters=15)[4]
     check_history(rep)

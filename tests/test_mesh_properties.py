@@ -26,11 +26,10 @@ VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
 NAMES = ["u", "p", "a", "t", "ratio"]
 
 
-def reference_write_vtk(path, mesh, point_data, cell_data,
-                        title="coeffopt fields"):
+def reference_write_vtk(path, mesh, point_data, cell_data):
     """The writer as one f-string per row."""
     nv, nt = mesh.n_vertices, mesh.n_cells
-    lines = ["# vtk DataFile Version 2.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 2.0", "coeffopt fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} float"]
     lines += [f"{x:.12e} {y:.12e} 0.0" for x, y in mesh.vertices]
     lines.append(f"CELLS {nt} {4 * nt}")

@@ -11,7 +11,6 @@ from coeffopt.gclosure import eig_sym_2x2, lamination_means
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from coeffopt.oracles import counterexample_fields, ex11_ball
 from coeffopt.optimize import (
-    DescentConfig,
     compliance_descent,
     energy_relaxed_solve,
     general_relaxed_optimize,
@@ -20,18 +19,45 @@ from coeffopt.optimize import (
 from coeffopt.penalty import PenaltySpec
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DescentConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        DescentConfig(tol=float("nan"))
-    with pytest.raises(ValueError):
-        DescentConfig(max_iters=0)
+# each driver on the n = 4 square, with its stop rule as keywords
+DRIVERS = {
+    "compliance": lambda m, **stop: compliance_descent(
+        m, 1.0, PenaltySpec("quadratic"), **stop),
+    "energy": lambda m, **stop: energy_relaxed_solve(
+        m, 1.0, 1.0, 2.0, 0.0142, **stop),
+    "laminate": lambda m, **stop: general_relaxed_optimize(
+        m, 1.0, 1.0, 0.05, 1.0, 2.0, **stop),
+}
+
+
+@pytest.mark.parametrize("run", DRIVERS.values(), ids=DRIVERS.keys())
+def test_stop_rule_validation(monkeypatch, run):
+    real = optimize.solve_dirichlet
+    solves = []
+
+    def solve(system, rtol=1e-10, x0=None):
+        solves.append(x0 is None)
+        return real(system, rtol=rtol, x0=x0)
+
+    monkeypatch.setattr(optimize, "solve_dirichlet", solve)
+    m = build_unit_square_mesh(4)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            run(m, tol=tol)
     # a float cap was accepted and failed in range() after the first solve
-    for cap in (2.5, 2.0, True, "3", None):
+    for cap in (0, 2.5, 2.0, True, "3", None):
         with pytest.raises(ValueError, match="max_iters"):
-            DescentConfig(max_iters=cap)
-    assert DescentConfig(max_iters=np.int64(3)).max_iters == 3
+            run(m, max_iters=cap)
+    assert solves == []
+    rep = run(m, max_iters=np.int64(3))[-1]
+    assert solves[0] and 1 <= rep.iterations <= 3
+
+
+@pytest.mark.parametrize("run", [DRIVERS["energy"], DRIVERS["laminate"]],
+                         ids=["energy", "laminate"])
+def test_relaxed_drivers_take_no_initial_design(run):
+    with pytest.raises(TypeError, match="a0"):
+        run(build_unit_square_mesh(4), a0=1.5)
 
 
 def test_general_rejects_wrong_length_weight():
@@ -132,7 +158,7 @@ def test_gradient_check_box_interior():
     a = rng.uniform(1.2, 1.8, m.n_cells)
     d = rng.normal(size=m.n_cells)
     d /= np.abs(d).max()
-    _, _, rel = gradient_check(m, 1.0, spec, a, d, h=1e-6)
+    _, _, rel = gradient_check(m, 1.0, spec, a, d)
     assert rel < 1e-4
 
 
@@ -157,8 +183,8 @@ def test_gradient_check_checks_the_descent_gradient(monkeypatch):
 
     monkeypatch.setattr(optimize, "_cost_gradient", recording)
     m = build_unit_square_mesh(4)
-    spec = PenaltySpec("affine-box", gamma=0.0142, half=True)
-    compliance_descent(m, 1.0, spec, DescentConfig(max_iters=1))
+    spec = PenaltySpec("affine-box", gamma=0.0142)
+    compliance_descent(m, 1.0, spec, max_iters=1)
     assert len(calls) == 1
     d = np.linspace(-1.0, 1.0, m.n_cells)
     analytic, _, _ = gradient_check(m, 1.0, spec, np.full(m.n_cells, 1.5), d)
@@ -184,7 +210,7 @@ def test_energy_ratios_are_the_stop_test():
     assert rep.steps == [1.0] * rep.iterations
     # the ratio column is the stop test's relative change, bit for bit:
     # every update but the last changed the cost by tol or more
-    c, tol = rep.costs, DescentConfig().tol
+    c, tol = rep.costs, optimize._TOL
     assert rep.ratios == [abs(c[k + 1] - c[k]) / abs(c[0])
                           for k in range(rep.iterations)]
     assert all(r >= tol for r in rep.ratios[:-1]) and rep.ratios[-1] < tol
@@ -202,7 +228,7 @@ def test_energy_iteration_cap(monkeypatch, k):
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     m = build_unit_square_mesh(8)
     rep = energy_relaxed_solve(m, 1.0, 1.0, 2.0, 0.0142,
-                               DescentConfig(max_iters=k, tol=1e-300))[3]
+                               max_iters=k, tol=1e-300)[3]
     assert rep.iterations == k and not rep.converged
     assert len(rep.costs) == k + 1
     # one cold initial solve, then one warm state solve per iteration
@@ -311,8 +337,7 @@ def test_report_iterations_property():
 def test_initial_coefficient_override():
     m = build_unit_square_mesh(6)
     spec = PenaltySpec("quadratic")
-    cfg = DescentConfig(a0=2.0, max_iters=1)
-    _, _, rep = compliance_descent(m, 1.0, spec, cfg)
+    _, _, rep = compliance_descent(m, 1.0, spec, a0=2.0, max_iters=1)
     # the first recorded cost must reflect the requested start
     K = StiffnessAssembler(m).assemble(np.full(m.n_cells, 2.0))
     u0 = solve_dirichlet(LinearSystem(K, assemble_load(m, 1.0), m.boundary))
@@ -320,7 +345,7 @@ def test_initial_coefficient_override():
         m.cell_areas @ (np.full(m.n_cells, 2.0) ** 2 / 2.0))
     assert abs(rep.costs[0] - J0) < 1e-9
     with pytest.raises(ValueError):
-        compliance_descent(m, 1.0, spec, DescentConfig(a0=np.ones(3)))
+        compliance_descent(m, 1.0, spec, a0=np.ones(3))
 
 
 def _fail_first_trial(monkeypatch):
@@ -343,13 +368,13 @@ def _fail_first_trial(monkeypatch):
 def _run_compliance():
     m = build_unit_square_mesh(8)
     return compliance_descent(m, 1.0, PenaltySpec("quadratic"),
-                              DescentConfig(max_iters=20))[2]
+                              max_iters=20)[2]
 
 
 def _run_general():
     m = build_unit_disk_mesh(0.2)
     return general_relaxed_optimize(m, 1.0, 1.0, 0.23539 ** 2,
-                                    1.0, 2.0, DescentConfig(max_iters=20))[4]
+                                    1.0, 2.0, max_iters=20)[4]
 
 
 @pytest.mark.parametrize("run", [_run_compliance, _run_general])
@@ -454,9 +479,9 @@ class _SolverLog:
             self.live_at_assembly.append(len(alive(self.vcycles)))
             return assemble(asm, coeff)
 
-        def counting_precond(asm, A):
+        def counting_precond(asm, A, weights):
             self.builds += 1
-            M = precond(asm, A)
+            M = precond(asm, A, weights)
             self.vcycles.append(weakref.ref(M))
             return M
 
