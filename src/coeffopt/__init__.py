@@ -10,6 +10,7 @@ from .fem import (
     IllPosedCoefficientError,
     LinearSystem,
     PointLoad,
+    RejectionBound,
     SolverFailure,
     StiffnessAssembler,
     assemble_load,

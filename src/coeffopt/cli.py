@@ -31,6 +31,9 @@ import numpy as np
 from .gclosure import eig_sym_2x2
 from .mesh import build_unit_disk_mesh, build_unit_square_mesh, write_vtk
 from .optimize import (
+    _MAX_ITERS,
+    _TOL,
+    _check_stop,
     compliance_descent,
     energy_relaxed_solve,
     general_relaxed_optimize,
@@ -67,8 +70,8 @@ _SETTINGS = {
             "flux scale for general-relaxed (g = tau^2)"),
     "epsilon": (float, 0.0, None,
                 "cost-weight tilt, weight = 1 + epsilon * x1"),
-    "tol": (float, 1e-6, None, "relative decrease stop"),
-    "max_iters": (int, 2000, None, "iteration cap"),
+    "tol": (float, _TOL, None, "relative decrease stop"),
+    "max_iters": (int, _MAX_ITERS, None, "iteration cap"),
     "penalty": (str, "quadratic", VARIANTS,
                 "penalty for the custom experiment"),
 }
@@ -151,10 +154,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         raise ValueError("h must lie in (0, 1)")
     if not (0.0 < settings["alpha"] < settings["beta"]):
         raise ValueError("need 0 < alpha < beta")
-    if not (settings["tol"] > 0.0):
-        raise ValueError("tol must be positive")
-    if settings["max_iters"] < 1:
-        raise ValueError("max_iters must be at least 1")
+    _check_stop(settings["tol"], settings["max_iters"])
 
     needs_gamma = exp in ("compliance-twophase", "energy-relaxed") or (
         exp == "custom" and settings["penalty"] in ("linear-box", "affine-box")

@@ -11,11 +11,15 @@ Every state solve goes through ``solve_dirichlet``: the Dirichlet rows
 and columns are eliminated and the free-dof system is solved by
 conjugate gradients preconditioned with a smoothed-aggregation
 multigrid V-cycle (Vanek, Mandel and Brezina, 1996), so the iteration
-count stays flat as the mesh is refined.  A ``StiffnessAssembler`` is
-the one per-mesh solver state, and the only state kept across solves:
-the free-dof pattern, the gather that fills it, the aggregation
-transfers and the V-cycle's coarse levels live on it.  The first coarse
-build aggregates on the way down, each level from the Galerkin operator
+count stays flat as the mesh is refined.  ``cg`` is the module's own
+loop, scipy's operation for operation, so it can also stop early on a
+``RejectionBound``: a line-search trial whose cost is already known to
+reach the accepted one is rejected after a few iterations instead of
+being solved to ``rtol`` (``solve_dirichlet`` returns None).  A
+``StiffnessAssembler`` is the one per-mesh solver state, and the only
+state kept across solves: the free-dof pattern, the gather that fills
+it, the aggregation transfers and the V-cycle's coarse levels live on
+it.  The first coarse build aggregates on the way down, each level from the Galerkin operator
 just formed and kept for the V-cycle, so every operator is formed once;
 later rebuilds reuse those transfers.  A solve builds the reduced
 matrix and the V-cycle's finest level (its smoother weights) from its
@@ -53,7 +57,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import penalty as pen
 from .mesh import Mesh
@@ -66,10 +69,13 @@ __all__ = [
     "assemble_load",
     "assemble_point_load",
     "LinearSystem",
+    "RejectionBound",
+    "cg",
     "solve_dirichlet",
     "cell_gradient",
     "grad_norm_sq",
     "compliance",
+    "penalty_cost",
     "cost_functional",
 ]
 
@@ -289,19 +295,19 @@ class StiffnessAssembler:
             self._reference = parts
         return A, self.preconditioner(A, weights)
 
-    def preconditioner(self, A: sp.csr_matrix, weights) -> LinearOperator:
-        """Symmetric V-cycle for the reduced matrix A, as an SPD operator:
-        A and its smoother weights on the finest level, below it the
-        coarse levels ``operators`` keeps for A's coefficient."""
+    def preconditioner(self, A: sp.csr_matrix, weights):
+        """Symmetric V-cycle for the reduced matrix A, as the SPD map
+        b -> M^-1 b: A and its smoother weights on the finest level,
+        below it the coarse levels ``operators`` keeps for A's
+        coefficient."""
         coarse_levels, inverse = self._coarse
         levels = [(A, weights)] + coarse_levels
         transfers = self._transfers
-        # the dtype is given, so scipy does not probe it with a V-cycle
-        return LinearOperator(
-            A.shape, matvec=lambda b: _vcycle(levels, transfers, inverse,
-                                              b, 0),
-            dtype=A.dtype,
-        )
+
+        def vcycle(b):
+            return _vcycle(levels, transfers, inverse, b, 0)
+
+        return vcycle
 
 
 def assemble_point_load(mesh: Mesh, location, magnitude: float = 1.0):
@@ -375,6 +381,25 @@ class LinearSystem:
     def __post_init__(self):
         if not np.isfinite(self.rhs).all():
             raise ValueError("load vector has nonfinite entries")
+
+
+class RejectionBound(NamedTuple):
+    """Stop a solve once its solution's cost is known to reach ``value``.
+
+    The cost is w.u for the solution u of K u = b.  With no ``weight``,
+    w is the load b itself and CG's energy 2 b.x - x.K x, which never
+    decreases along the iterates and never exceeds b.u, is the
+    estimate: reaching ``value`` proves b.u does too (Strakos and
+    Tichy, ETNA 13, 2002).  Given the cost weight w and an ``adjoint``
+    p, the solution of K' p = w for a matrix K' near K, the estimate is
+    w.x + p.(b - K x): exact for K' = K, close otherwise, and not a
+    bound (Becker and Rannacher, Acta Numerica 10, 2001), so the caller
+    leaves a margin.  Both vectors have the load's length.
+    """
+
+    value: float
+    weight: np.ndarray | None = None
+    adjoint: np.ndarray | None = None
 
 
 # smoothed aggregation: strength-of-connection threshold and the size
@@ -582,8 +607,66 @@ def _transfer(A: sp.csr_matrix):
     return R.T, R
 
 
+# cg's info when the solve stopped on its rejection bound
+_REJECTED = -1
+
+
+def cg(A, b, x0=None, *, rtol, maxiter, M, callback=None, bound=None):
+    """Preconditioned conjugate gradients for the SPD system A x = b.
+
+    The loop of scipy 1.17's ``scipy.sparse.linalg.cg``, operation for
+    operation, so x, info and every iterate handed to ``callback``
+    match it bit for bit: returns (x, 0) once ||b - A x|| < rtol ||b||
+    and (x, maxiter) when the iterations run out.  M is the
+    preconditioner as a callable r -> M^-1 r.
+
+    Given a ``RejectionBound`` on A's unknowns, each iteration first
+    tests the convergence, then the bound: (x, ``_REJECTED``) once the
+    estimate reaches ``bound.value``.  The energy c(x) = b.x + x.r
+    costs two dot products at the start and none after, since it grows
+    by alpha rho per step; the adjoint estimate w.x + p.r costs two per
+    iteration.
+    """
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return b.copy(), 0
+    atol = rtol * float(bnorm)
+    r = b - A @ x if x.any() else b.copy()
+    energy = None
+    if bound is not None and bound.weight is None:
+        energy = np.dot(b, x) + np.dot(x, r)
+    rho_prev, p = None, None
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        if bound is not None:
+            estimate = energy if energy is not None else (
+                np.dot(bound.weight, x) + np.dot(bound.adjoint, r))
+            if estimate >= bound.value:
+                return x, _REJECTED
+        z = M(r)
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        if energy is not None:
+            energy += alpha * rho
+        rho_prev = rho
+        if callback:
+            callback(x)
+    return x, maxiter
+
+
 def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
-                    x0: np.ndarray | None = None) -> np.ndarray:
+                    x0: np.ndarray | None = None,
+                    bound: RejectionBound | None = None):
     """Solve with zero Dirichlet values via symmetric elimination.
 
     The matrix must come from a ``StiffnessAssembler``: the Dirichlet
@@ -591,21 +674,25 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     aggregation transfers are the assembler's.  The boundary rows and
     columns are dropped (the boundary values are set to exactly 0.0) by
     gathering the free-dof block straight from the matrix data, and the
-    reduced SPD system is solved by conjugate
-    gradients down to a relative residual of ``rtol``.  The
-    preconditioner is a smoothed-aggregation multigrid V-cycle.  What
-    persists lives on the assembler: its coarse levels are kept from an
-    earlier matrix whose coefficient is within ``_REBUILD_CONTRAST`` of
-    this one's and rebuilt from this matrix otherwise
+    reduced SPD system is solved by conjugate gradients (``cg``) down
+    to a relative residual of ``rtol``.  The preconditioner is a
+    smoothed-aggregation multigrid V-cycle.  What persists lives on the
+    assembler: its coarse levels are kept from an earlier matrix whose
+    coefficient is within ``_REBUILD_CONTRAST`` of this one's and
+    rebuilt from this matrix otherwise
     (``StiffnessAssembler.operators``).  The reduced matrix and the
     V-cycle's finest level are built by this solve and freed on return.
+
+    Returns the solution, or None when a ``bound`` is given and CG's
+    estimate of the solution's cost reaches it (a rejection, not a
+    failure).  The set-up runs, and raises, as without a bound.
 
     Raises
     ------
     ValueError
         If the matrix has no assembler or not its pattern, the mask is
-        not the boundary of the assembler's mesh, or the load or ``x0``
-        does not have the matrix's length.
+        not the boundary of the assembler's mesh, or the load, ``x0``
+        or a vector of the bound does not have the matrix's length.
     SolverFailure
         If CG stops without reaching the tolerance (the message reports
         the achieved relative residual), or if the multigrid set-up
@@ -624,7 +711,12 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     if not np.array_equal(system.boundary, asm.mesh.boundary):
         raise ValueError("Dirichlet mask is not the matrix's mesh boundary")
     n = K.shape[0]
-    for name, v in (("load", system.rhs), ("x0", x0)):
+    vectors = [("load", system.rhs), ("x0", x0)]
+    if bound is not None:
+        if (bound.weight is None) != (bound.adjoint is None):
+            raise ValueError("a bound takes a weight and an adjoint together")
+        vectors += [("weight", bound.weight), ("adjoint", bound.adjoint)]
+    for name, v in vectors:
         if v is not None and np.shape(v) != (n,):
             raise ValueError(
                 f"{name} must have shape ({n},), got {np.shape(v)}"
@@ -637,8 +729,13 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
         return u
     A, M = asm.operators(K)
     x_init = x0[free] if x0 is not None else None
-    x, info = cg(A, b, x0=x_init, rtol=rtol, atol=0.0, M=M,
-                 maxiter=20 * A.shape[0])
+    if bound is not None and bound.weight is not None:
+        bound = bound._replace(weight=bound.weight[free],
+                               adjoint=bound.adjoint[free])
+    x, info = cg(A, b, x0=x_init, rtol=rtol, M=M, maxiter=20 * A.shape[0],
+                 bound=bound)
+    if info == _REJECTED:
+        return None
     res = float(np.linalg.norm(b - A @ x)) / bnorm
     if info != 0 or res > rtol * 1.01:
         raise SolverFailure(
@@ -665,6 +762,19 @@ def compliance(mesh: Mesh, f, u: np.ndarray) -> float:
     return float(assemble_load(mesh, f) @ u)
 
 
+def penalty_cost(mesh: Mesh, coeff: np.ndarray, penalty) -> float:
+    """int psi(a), psi the penalty's; ValueError when a cell of the
+    coefficient lies outside the penalty domain (infinite cost)."""
+    vals = pen.psi_eval(penalty, np.asarray(coeff, dtype=float), strict=False)
+    if not np.isfinite(vals).all():
+        c = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise ValueError(
+            f"infinite penalty cost: coefficient {coeff[c]!r} on cell {c} "
+            "is outside the penalty domain"
+        )
+    return float(mesh.cell_areas @ vals)
+
+
 def cost_functional(mesh: Mesh, load: np.ndarray, u: np.ndarray,
                     coeff: np.ndarray, penalty) -> float:
     """load . u + int psi(a), psi the penalty's.
@@ -673,11 +783,4 @@ def cost_functional(mesh: Mesh, load: np.ndarray, u: np.ndarray,
     int f u.  The coefficient must stay inside the penalty domain; an
     out-of-range cell makes the cost infinite and the evaluation aborts.
     """
-    vals = pen.psi_eval(penalty, np.asarray(coeff, dtype=float), strict=False)
-    if not np.isfinite(vals).all():
-        c = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(
-            f"infinite penalty cost: coefficient {coeff[c]!r} on cell {c} "
-            "is outside the penalty domain"
-        )
-    return float(load @ u) + float(mesh.cell_areas @ vals)
+    return float(load @ u) + penalty_cost(mesh, coeff, penalty)

@@ -17,11 +17,15 @@ Three drivers share one history record, ``OptReport``:
 Both descents step by one backtracking line search with simple
 decrease (``_backtrack``), in which a trial whose solve raises
 ``SolverFailure`` or whose cost is not finite is a rejected step;
-failures of the initial and adjoint solves raise.  Every accepted step
-strictly decreases the cost and is recorded by ``OptReport.accept``;
-runs stop on the relative change it returns, |J_k - J_{k-1}| / |J_0| <
-tol, after max_iters updates, on a projection fixed point
-(stationarity), or - reported, not raised - on a stalled line search.
+failures of the initial and adjoint solves raise.  A trial's solve
+carries the accepted cost as a ``RejectionBound`` (``_trial_bound``),
+so one that cannot lower it stops after a few CG iterations and is
+rejected as well; the steps taken are those of full solves.  Every
+accepted step strictly decreases the cost and is recorded by
+``OptReport.accept``; runs stop on the relative change it returns,
+|J_k - J_{k-1}| / |J_0| < tol, after max_iters updates, on a
+projection fixed point (stationarity), or - reported, not raised - on
+a stalled line search.
 Every driver takes its stop rule as the keywords ``tol`` and
 ``max_iters``, checked before the first solve; the relaxed drivers
 start from the fraction t = ``_T0`` of alpha in every cell.
@@ -37,12 +41,14 @@ import numpy as np
 from . import penalty as pen
 from .fem import (
     LinearSystem,
+    RejectionBound,
     SolverFailure,
     StiffnessAssembler,
     assemble_load,
     cell_gradient,
     cost_functional,
     grad_norm_sq,
+    penalty_cost,
     solve_dirichlet,
 )
 from .gclosure import (
@@ -114,6 +120,13 @@ _T0 = 0.5
 # the line search's largest step multiplier and its trial budget
 _STEP_CAP = 1.0
 _MAX_TRIALS = 31
+# a trial solve stops once its estimate puts the trial's cost at
+# J + _MARGIN |J| or above.  The margin covers the gap between the
+# energy bound and the cost of the converged solve, |x.r| <= rtol |b|
+# |x|, that is rtol |J| times the ratio |b| |x| / |b.x|, and the error
+# of the adjoint estimate, which is not a bound; margins of 1e-10 and
+# 1e-8 give the same outputs on the acceptance-size runs
+_MARGIN = 1e-9
 # gradient_check's solve tolerance, tight enough that the central
 # difference measures the cost, not the solver error, and its
 # difference step
@@ -131,14 +144,21 @@ def _check_stop(tol, max_iters) -> None:
             f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 
-def _solve(K, rhs, x0=None, rtol=1e-10):
-    """u with K u = rhs and u = 0 on the boundary of K's mesh.
+def _solve(K, rhs, x0=None, rtol=1e-10, bound=None):
+    """u with K u = rhs and u = 0 on the boundary of K's mesh, or None
+    when the solve stops on its ``RejectionBound``.
 
     ``rhs`` goes into the system as it is, never copied: the
     benchmark's tracer tells a trial solve by its load object.
     """
     system = LinearSystem(K, rhs, K.assembler.mesh.boundary)
-    return solve_dirichlet(system, rtol=rtol, x0=x0)
+    return solve_dirichlet(system, rtol=rtol, x0=x0, bound=bound)
+
+
+def _trial_bound(J: float, rest: float, weight=None, adjoint=None):
+    """The bound of a trial whose cost is its solve's part plus
+    ``rest``: the solve stops once that part is sure to reach J."""
+    return RejectionBound(J + _MARGIN * abs(J) - rest, weight, adjoint)
 
 
 def _backtrack(trial_at, J: float, step: float):
@@ -147,10 +167,11 @@ def _backtrack(trial_at, J: float, step: float):
 
     ``trial_at(step)`` returns None when the step does not move the
     iterate, which ends the search, else (J_t, trial) with the trial's
-    state solved.  A ``SolverFailure`` or a non-finite J_t rejects the
-    step.  Returns (hit, moved): hit is (step, J_t, trial) for the
-    accepted trial or None, and moved is False only when the search
-    ended on a step that does not move the iterate.
+    state solved, or (inf, None) when its solve stopped on the bound
+    of J.  A ``SolverFailure`` or a non-finite J_t rejects the step.
+    Returns (hit, moved): hit is (step, J_t, trial) for the accepted
+    trial or None, and moved is False only when the search ended on a
+    step that does not move the iterate.
     """
     for _ in range(_MAX_TRIALS):
         try:
@@ -251,8 +272,12 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
             trial = pen.project_to_domain(spec, a + step * scale * dirn)
             if np.array_equal(trial, a):
                 return None
-            u_t = _solve(asm.assemble(trial), load, x0=u)
-            return cost_functional(mesh, load, u_t, trial, spec), (trial, u_t)
+            psi = penalty_cost(mesh, trial, spec)
+            u_t = _solve(asm.assemble(trial), load, x0=u,
+                         bound=_trial_bound(J, psi))
+            if u_t is None:
+                return np.inf, None
+            return float(load @ u_t) + psi, (trial, u_t)
 
         hit, moved = _backtrack(trial_at, J, eps)
         if hit is None:
@@ -373,8 +398,8 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
     def adjoint(K, u, p):
         return u if self_adjoint else _solve(K, w, x0=p)
 
-    def total_cost(u, mu):
-        return float(w @ u) + float(mesh.cell_areas @ (g * mu))
+    def mass(mu):
+        return float(mesh.cell_areas @ (g * mu))
 
     t = np.full(mesh.n_cells, _T0)
     mu, nu = lamination_means(t, alpha, beta)
@@ -382,7 +407,7 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
     K = asm.assemble(A)
     u = _solve(K, load)
     p = adjoint(K, u, None)
-    J = total_cost(u, mu)
+    J = float(w @ u) + mass(mu)
     report = OptReport(costs=[J])
 
     eps = _STEP_CAP
@@ -410,8 +435,12 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
             if np.array_equal(t_new, t) and np.array_equal(a_new, A):
                 return None
             K_t = asm.assemble(a_new)
-            u_t = _solve(K_t, load, x0=u)
-            return total_cost(u_t, mu_n), (t_new, a_new, mu_n, nu_n, u_t, K_t)
+            rest = mass(mu_n)
+            goal = () if self_adjoint else (w, p)
+            u_t = _solve(K_t, load, x0=u, bound=_trial_bound(J, rest, *goal))
+            if u_t is None:
+                return np.inf, None
+            return float(w @ u_t) + rest, (t_new, a_new, mu_n, nu_n, u_t, K_t)
 
         # the Hamiltonian maximizers over the fraction target's box and
         # over the current box, from one pass over the gradients

@@ -3,7 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
-from coeffopt import optimize
+from coeffopt import cli, optimize
 from coeffopt.cli import (
     build_parser,
     main,
@@ -154,9 +154,9 @@ def test_general_at_zero_epsilon_solves_no_adjoint(monkeypatch, domain,
     real = optimize.solve_dirichlet
     loads = []
 
-    def solve(system, rtol=1e-10, x0=None):
+    def solve(system, rtol=1e-10, x0=None, bound=None):
         loads.append(system.rhs)
-        return real(system, rtol=rtol, x0=x0)
+        return real(system, rtol=rtol, x0=x0, bound=bound)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     s = resolve(["--experiment", "general-relaxed", "--domain", domain,
@@ -175,6 +175,24 @@ def test_main_bad_settings_exit_2(tmp_path, capsys):
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "summary.txt").exists()
+
+
+def test_stop_rule_is_the_drivers(monkeypatch, tmp_path, capsys):
+    # the defaults and the checks of tol and max_iters are the drivers'
+    # own, and a bad value still exits 2 before the mesh is built
+    s = resolve([])
+    assert (s["tol"], s["max_iters"]) == (optimize._TOL, optimize._MAX_ITERS)
+    built = []
+    monkeypatch.setattr(cli, "_build_mesh", built.append)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_iters = -2\n")
+    for argv, message in ((["--tol", "0"], "tol must be positive"),
+                          (["--tol=-1e-3"], "tol must be positive"),
+                          (["--max-iters", "0"], "max_iters must be an int"),
+                          (["--config", str(cfg)], "max_iters must be an int")):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    assert built == []
 
 
 def test_main_unknown_config_choice_exit_2(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +22,15 @@ def test_star_import_resolves_every_exported_name(name):
     exec(f"from {name} import *", namespace)
     missing = [n for n in getattr(module, "__all__", ()) if n not in namespace]
     assert missing == []
+
+
+def test_import_leaves_out_scipy_sparse_linalg():
+    # the solver's CG loop and V-cycle are the package's own, so the
+    # import and its memory stay free of scipy.sparse.linalg
+    code = ("import sys, coeffopt; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    src = os.path.dirname(coeffopt.__path__[0])  # this coeffopt's
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

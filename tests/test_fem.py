@@ -9,11 +9,13 @@ from coeffopt.fem import (
     IllPosedCoefficientError,
     LinearSystem,
     PointLoad,
+    RejectionBound,
     SolverFailure,
     StiffnessAssembler,
     assemble_load,
     assemble_point_load,
     cell_gradient,
+    cg,
     compliance,
     cost_functional,
     grad_norm_sq,
@@ -314,6 +316,86 @@ def test_multigrid_iterations_stay_flat(monkeypatch):
         a = np.linspace(1.0, 2.0, m.n_cells)
         fresh_solve(m, a, 1.0)
     assert max(counts) <= 25, counts
+
+
+def _reduced_system(mesh, seed):
+    """A seeded reduced system: (A, M, b) for a random tensor
+    coefficient, with the load of a random nodal source."""
+    rng = np.random.default_rng(seed)
+    lam1, lam2 = 10.0 ** rng.uniform(-1.0, 1.0, (2, mesh.n_cells))
+    th = rng.uniform(0.0, np.pi, mesh.n_cells)
+    c, s = np.cos(th), np.sin(th)
+    coeff = np.column_stack([lam1 * c * c + lam2 * s * s,
+                             (lam1 - lam2) * c * s,
+                             lam1 * s * s + lam2 * c * c])
+    asm = StiffnessAssembler(mesh)
+    A, M = asm.operators(asm.assemble(coeff))
+    f = rng.uniform(-1.0, 2.0, mesh.n_vertices)
+    return A, M, assemble_load(mesh, f)[asm.free]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cg_matches_scipy_bit_for_bit(seed):
+    # the module's loop is scipy's, operation for operation: the same
+    # x, info and iterates, cold, warm and when the iterations run out
+    from scipy.sparse.linalg import LinearOperator
+    from scipy.sparse.linalg import cg as scipy_cg
+
+    m = build_unit_disk_mesh(0.05) if seed % 2 else build_unit_square_mesh(24)
+    A, M, b = _reduced_system(m, seed)
+    M_op = LinearOperator(A.shape, matvec=M, dtype=A.dtype)
+    rng = np.random.default_rng(seed + 10)
+    warm = scipy_cg(A, b, rtol=1e-3, atol=0.0, M=M_op)[0]
+    for x0, rtol, maxiter in ((None, 1e-10, 1000), (warm, 1e-10, 1000),
+                              (rng.standard_normal(b.size), 1e-12, 1000),
+                              (warm, 1e-14, 3)):
+        ours, theirs = [], []
+        kept = None if x0 is None else x0.copy()
+        x, info = cg(A, b, x0=x0, rtol=rtol, maxiter=maxiter, M=M,
+                     callback=lambda xk: ours.append(xk.copy()))
+        y, jnfo = scipy_cg(A, b, x0=x0, rtol=rtol, atol=0.0,
+                           maxiter=maxiter, M=M_op,
+                           callback=lambda xk: theirs.append(xk.copy()))
+        assert info == jnfo
+        assert np.array_equal(x, y)
+        assert len(ours) == len(theirs) > 0
+        assert all(np.array_equal(p, q) for p, q in zip(ours, theirs))
+        if x0 is not None:
+            assert np.array_equal(x0, kept)  # the start is not modified
+    assert info == 3  # the last case ran out of iterations
+
+
+def test_rejection_bound_stops_only_a_solve_that_reaches_it():
+    # more free vertices than the coarsest level: CG takes several
+    # iterations
+    m = build_unit_disk_mesh(0.05)
+    asm = StiffnessAssembler(m)
+    a = np.linspace(1.0, 2.0, m.n_cells)
+    b = assemble_load(m, 1.0)
+    w = assemble_load(m, 1.0 + 0.5 * m.vertices[:, 0])
+    system = LinearSystem(asm.assemble(a), b, m.boundary)
+    u = solve_dirichlet(system)
+    p = solve_dirichlet(LinearSystem(asm.assemble(a), w, m.boundary))
+    x0 = 0.9 * u
+    full = solve_dirichlet(system, x0=x0)
+    for cost, goal in ((b @ u, ()), (w @ u, (w, p))):
+        # a bound above the cost changes nothing, bit for bit; one below
+        # it stops the solve, which returns None
+        above = RejectionBound(cost * (1.0 + 1e-6), *goal)
+        assert np.array_equal(solve_dirichlet(system, x0=x0, bound=above),
+                              full)
+        below = RejectionBound(cost * (1.0 - 1e-6), *goal)
+        assert solve_dirichlet(system, x0=x0, bound=below) is None
+    # the set-up runs as without a bound: a fresh assembler's rejected
+    # solve builds and keeps its coarse levels
+    fresh = StiffnessAssembler(m)
+    rejected = LinearSystem(fresh.assemble(a), b, m.boundary)
+    assert solve_dirichlet(rejected, bound=RejectionBound(-1.0)) is None
+    assert fresh._coarse is not None
+    with pytest.raises(ValueError, match="together"):
+        solve_dirichlet(system, bound=RejectionBound(1.0, w))
+    with pytest.raises(ValueError, match="adjoint must have shape"):
+        solve_dirichlet(system, bound=RejectionBound(1.0, w, p[1:]))
 
 
 def test_solve_dirichlet_rejects_foreign_systems():

@@ -1,5 +1,6 @@
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,9 +36,9 @@ def test_stop_rule_validation(monkeypatch, run):
     real = optimize.solve_dirichlet
     solves = []
 
-    def solve(system, rtol=1e-10, x0=None):
+    def solve(system, rtol=1e-10, x0=None, bound=None):
         solves.append(x0 is None)
-        return real(system, rtol=rtol, x0=x0)
+        return real(system, rtol=rtol, x0=x0, bound=bound)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     m = build_unit_square_mesh(4)
@@ -221,9 +222,9 @@ def test_energy_iteration_cap(monkeypatch, k):
     real = optimize.solve_dirichlet
     solves = []
 
-    def solve(system, rtol=1e-10, x0=None):
+    def solve(system, rtol=1e-10, x0=None, bound=None):
         solves.append(x0 is None)
-        return real(system, rtol=rtol, x0=x0)
+        return real(system, rtol=rtol, x0=x0, bound=bound)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     m = build_unit_square_mesh(8)
@@ -355,11 +356,11 @@ def _fail_first_trial(monkeypatch):
     real = optimize.solve_dirichlet
     failures = []
 
-    def solve(system, rtol=1e-10, x0=None):
+    def solve(system, rtol=1e-10, x0=None, bound=None):
         if x0 is not None and not failures:
             failures.append(system)
             raise SolverFailure("injected trial failure")
-        return real(system, rtol=rtol, x0=x0)
+        return real(system, rtol=rtol, x0=x0, bound=bound)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     return failures
@@ -391,7 +392,7 @@ def test_failed_trial_solve_is_rejected_step(monkeypatch, run):
 
 @pytest.mark.parametrize("run", [_run_compliance, _run_general])
 def test_failed_initial_solve_raises(monkeypatch, run):
-    def solve(system, rtol=1e-10, x0=None):
+    def solve(system, rtol=1e-10, x0=None, bound=None):
         raise SolverFailure("injected")
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
@@ -406,13 +407,13 @@ def _fail_warm_state_solves(monkeypatch):
     real = optimize.solve_dirichlet
     loads, failures = [], []
 
-    def solve(system, rtol=1e-10, x0=None):
+    def solve(system, rtol=1e-10, x0=None, bound=None):
         if not loads:
             loads.append(system.rhs)
         if x0 is not None and system.rhs is loads[0]:
             failures.append(True)
             raise SolverFailure("injected trial failure")
-        return real(system, rtol=rtol, x0=x0)
+        return real(system, rtol=rtol, x0=x0, bound=bound)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     return failures
@@ -459,7 +460,7 @@ class _SolverLog:
             return [r for r in refs if r() is not None
                     and (obj is None or r() is obj)]
 
-        def counting_solve(system, rtol=1e-10, x0=None):
+        def counting_solve(system, rtol=1e-10, x0=None, bound=None):
             if self.load is None:
                 self.load = system.rhs
             K = system.matrix
@@ -467,7 +468,7 @@ class _SolverLog:
                          reused=bool(alive(self.state_matrices, K)),
                          live_vcycles=len(alive(self.vcycles)))
             before = self.builds
-            u = solve(system, rtol=rtol, x0=x0)
+            u = solve(system, rtol=rtol, x0=x0, bound=bound)
             rec.builds = self.builds - before
             if rec.state:
                 self.state_matrices.append(weakref.ref(K))
@@ -551,3 +552,46 @@ def test_stalled_run_solves_each_adjoint_once(monkeypatch):
     assert all(s.reused for s in adjoints)
     # one assembly per state solve, the failed trials included
     assert log.assembled == len(state) + len(failures)
+
+
+def _rejecting_compliance():
+    m = build_unit_disk_mesh(0.07)
+    a0 = np.random.default_rng(7).uniform(0.5, 2.0, m.n_cells)
+    return compliance_descent(m, 1.0, PenaltySpec("quadratic"), a0=a0)
+
+
+def _rejecting_laminate(epsilon):
+    m = build_unit_disk_mesh(0.07)
+    weight = 1.0 + epsilon * m.vertices[:, 0]
+    return general_relaxed_optimize(m, 1.0, weight, 0.23539 ** 2, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("run", [_rejecting_compliance,
+                                 partial(_rejecting_laminate, 0.0),
+                                 partial(_rejecting_laminate, 0.5)],
+                         ids=["compliance", "isotropic", "tilted"])
+def test_rejection_bound_changes_no_result(monkeypatch, run):
+    # a trial solve stopped on its bound is one the full solve would
+    # have rejected: the run with the bound dropped takes the same
+    # steps to the same design, bit for bit
+    real = optimize.solve_dirichlet
+    rejected = []
+
+    def bounded(system, rtol=1e-10, x0=None, bound=None):
+        u = real(system, rtol=rtol, x0=x0, bound=bound)
+        rejected.append(u is None)
+        return u
+
+    def unbounded(system, rtol=1e-10, x0=None, bound=None):
+        return real(system, rtol=rtol, x0=x0)
+
+    monkeypatch.setattr(optimize, "solve_dirichlet", bounded)
+    fast = run()
+    monkeypatch.setattr(optimize, "solve_dirichlet", unbounded)
+    full = run()
+    assert sum(rejected) >= 5
+    assert fast[-1].costs == full[-1].costs
+    assert fast[-1].steps == full[-1].steps
+    assert fast[-1].converged and full[-1].converged
+    for x, y in zip(fast[:-1], full[:-1]):
+        assert np.array_equal(x, y)

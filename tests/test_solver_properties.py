@@ -151,8 +151,46 @@ def test_vcycle_is_symmetric_positive_definite(mesh_key, seed, kept):
     # the coarse levels' coefficient, kept as its (a11, a12, a22)
     assert np.array_equal(np.column_stack(asm._reference),
                           reference if kept else a)
-    V = np.column_stack([M.matvec(e) for e in np.eye(A.shape[0])])
+    V = np.column_stack([M(e) for e in np.eye(A.shape[0])])
     assert np.abs(V - V.T).max() <= 1e-12 * np.abs(V).max()
     x = np.random.default_rng(seed + 2).standard_normal(A.shape[0])
-    assert x @ (M @ x) > 0.0
+    assert x @ M(x) > 0.0
     assert np.linalg.eigvalsh(0.5 * (V + V.T))[0] > 0.0
+
+
+@SETTINGS
+@given(st.tuples(st.sampled_from([("square", 24), ("disk", 0.07)]),
+                 st.integers(0, 2**32 - 1), st.booleans()),
+       st.floats(0.0, 0.9), st.floats(0.5, 1.5))
+def test_cg_energy_rises_to_the_solution_energy(case, start, level):
+    # c(x) = 2 b.x - x.A x never decreases along CG and stays at or
+    # below b.A^-1 b (Strakos and Tichy), so a rejection bound it
+    # reaches is one the solution reaches too
+    m, asm, K, b = system_for(case)
+    A, M = asm.operators(K)
+    b = b[asm.free]
+    solution = spla.spsolve(A.tocsc(), b)
+    top = b @ solution
+    energies = []
+
+    def energy(x):
+        energies.append(2.0 * (b @ x) - x @ (A @ x))
+
+    x0 = start * solution
+    energy(x0)
+    x, _ = fem.cg(A, b, x0=x0, rtol=1e-12, maxiter=1000, M=M,
+                  callback=energy)
+    slack = 1e-12 * abs(top)
+    assert len(energies) > 1
+    assert all(e1 >= e0 - slack for e0, e1 in zip(energies, energies[1:]))
+    assert max(energies) <= top + slack
+    # the loop's own energy, grown by alpha rho per step, is the bound
+    # it tests: it stops only on a bound the solution reaches, and a
+    # solve it lets run is the unbounded one bit for bit
+    bound = fem.RejectionBound(level * top)
+    y, info = fem.cg(A, b, x0=x0, rtol=1e-12, maxiter=1000, M=M,
+                     bound=bound)
+    if info == fem._REJECTED:
+        assert bound.value <= top + slack
+    else:
+        assert np.array_equal(y, x)
