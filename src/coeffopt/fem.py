@@ -7,9 +7,10 @@ so the two agree bit for bit when the matrix is a*I.
 
 Solver
 ------
-Every state solve goes through ``solve_dirichlet``: the Dirichlet rows
-and columns are eliminated and the free-dof system is solved by
-conjugate gradients preconditioned with a smoothed-aggregation
+Every state solve goes through ``solve_dirichlet``.  The assembled
+matrix is the stiffness on the free vertices alone, its Dirichlet rows
+and columns eliminated once per mesh in the assembler's pattern; it is
+solved by conjugate gradients preconditioned with a smoothed-aggregation
 multigrid V-cycle (Vanek, Mandel and Brezina, 1996), so the iteration
 count stays flat as the mesh is refined.  ``cg`` is the module's own
 loop, scipy's operation for operation, so it can also stop early on a
@@ -17,16 +18,17 @@ loop, scipy's operation for operation, so it can also stop early on a
 reach the accepted one is rejected after a few iterations instead of
 being solved to ``rtol`` (``solve_dirichlet`` returns None).  A
 ``StiffnessAssembler`` is the one per-mesh solver state, and the only
-state kept across solves: the free-dof pattern, the gather that fills
-it, the aggregation transfers and the V-cycle's coarse levels live on
-it.  The first coarse build aggregates on the way down, each level from the Galerkin operator
-just formed and kept for the V-cycle, so every operator is formed once;
-later rebuilds reuse those transfers.  A solve builds the reduced
-matrix and the V-cycle's finest level (its smoother weights) from its
-matrix and frees them on return.  Each matrix the assembler builds
-carries it and the coefficient it was assembled from, and
-``solve_dirichlet`` takes the Dirichlet mask from there; a matrix built
-any other way, or paired with another mask, raises ``ValueError``.
+state kept across solves: the free-dof pattern, the slot of every
+local entry in it, the aggregation transfers and the V-cycle's coarse
+levels live on it.  The first coarse build aggregates on the way down,
+each level from the Galerkin operator just formed and kept for the
+V-cycle, so every operator is formed once; later rebuilds reuse those
+transfers.  A solve builds the V-cycle's finest level (its smoother
+weights) from its matrix and frees it on return.  Each matrix the
+assembler builds carries it and the coefficient it was assembled from,
+and ``solve_dirichlet`` takes the Dirichlet mask from there; a matrix
+built any other way, or paired with another mask, raises
+``ValueError``.
 
 The coarse levels - the Galerkin operators below the finest level,
 their smoother weights and the coarsest inverse - are kept with the
@@ -147,32 +149,43 @@ _CELL_BLOCK = 4096
 class StiffnessAssembler:
     """Per-mesh assembly and Dirichlet-solver state.
 
-    The sparsity pattern, the slot of every local entry in it, the
-    free-dof pattern and the gather that fills it depend only on the
-    mesh, so they are computed once.  Repeated assemblies (every
-    optimizer iteration) reduce to the six upper local entries per cell
-    and one deterministic scatter; each entry lands in both of its
-    slots, so the matrix is symmetric bit for bit.
+    The free-dof sparsity pattern and the slot of every local entry in
+    it depend only on the mesh, so they are computed once; ``free``
+    lists the free vertices in the order of the matrix's rows.  Entries
+    in a Dirichlet row or column all go to one extra slot, which is
+    dropped: each assembly eliminates the Dirichlet data as it sums.
+    Repeated assemblies (every optimizer iteration) reduce to the six
+    upper local entries per cell and one deterministic scatter; each
+    entry lands in both of its slots, so the matrix is symmetric bit
+    for bit.
 
     What persists across solves lives here and nowhere else: the
     aggregation transfers, built with the first coarse levels and
     reused by every later rebuild, and the V-cycle's coarse levels with
-    the coefficient they were built from, which ``operators`` rebuilds
-    only when a matrix's coefficient has moved farther than
-    ``_REBUILD_CONTRAST`` from that one.  A solve builds its finest level and frees it on
-    return.  So the solves of one assembler, and hence its results in
-    the last digits, depend on the sequence of coefficients it has
-    solved with; a fresh assembler repeats them bit for bit.
+    the coefficient they were built from, which ``preconditioner``
+    rebuilds only when a matrix's coefficient has moved farther than
+    ``_REBUILD_CONTRAST`` from that one.  A solve builds its finest
+    level and frees it on return.  So the solves of one assembler, and
+    hence its results in the last digits, depend on the sequence of
+    coefficients it has solved with; a fresh assembler repeats them bit
+    for bit.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        nv = mesh.n_vertices
-        tri = mesh.triangles
+        free = ~mesh.boundary
+        n = int(np.count_nonzero(free))
+        # vertices by free index, every Dirichlet vertex as n
+        tri = np.where(free, np.cumsum(free) - 1, n)[mesh.triangles]
         # slot of every local entry: its rank among the distinct
-        # (row, col) keys, which sort in CSR order
-        keys = tri[:, _LOCAL_I] * nv
+        # (row, col) keys, which sort in CSR order; an entry in a
+        # Dirichlet row or column takes the largest key, (n, n), so they
+        # all share the one last slot, nnz, which assemble drops
+        keys = tri[:, _LOCAL_I] * (n + 1)
         keys += tri[:, _LOCAL_J]
+        dirichlet = tri == n
+        keys[dirichlet[:, _LOCAL_I] | dirichlet[:, _LOCAL_J]] = n * (n + 2)
+        del tri, dirichlet
         keys = keys.ravel()
         order = np.argsort(keys)
         keys = keys[order]
@@ -184,25 +197,14 @@ class StiffnessAssembler:
         self._slots = np.empty(order.size, dtype=np.int32)
         self._slots[order] = np.cumsum(first, dtype=np.int32) - 1
         del order, first
-        counts = np.bincount(pattern // nv, minlength=nv)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        self._indices = (pattern % nv).astype(np.int32)
-        # the free-dof pattern and the gather that fills it from the
-        # full matrix's data
-        free = ~mesh.boundary
+        pattern = pattern[pattern < n * (n + 1)]
         self.free = np.flatnonzero(free)
-        rows = np.repeat(np.arange(nv, dtype=np.int32), counts)
-        keep = free[rows] & free[self._indices]
-        renum = (np.cumsum(free) - 1).astype(np.int32)
-        self._gather = np.flatnonzero(keep).astype(np.int32)
-        self._free_indices = renum[self._indices[keep]]
-        free_counts = np.bincount(renum[rows[keep]],
-                                  minlength=self.free.size)
-        self._free_indptr = np.concatenate(
-            [[0], np.cumsum(free_counts)]).astype(np.int32)
-        # every reduced matrix shares this pattern
-        self._free_indices.setflags(write=False)
-        self._free_indptr.setflags(write=False)
+        counts = np.bincount(pattern // (n + 1), minlength=n)
+        # every matrix shares this pattern
+        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self._indices = (pattern % (n + 1)).astype(np.int32)
+        self._indptr.setflags(write=False)
+        self._indices.setflags(write=False)
         self._transfers = None  # (P, R) per level, from the first build
         # the V-cycle's coarse levels, ([(Galerkin operator, smoother
         # weights) per level >= 1], coarsest inverse), and the
@@ -211,9 +213,10 @@ class StiffnessAssembler:
         self._reference = None
 
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
-        """Stiffness matrix on the full vertex set, carrying this
-        assembler as its ``assembler`` attribute for ``solve_dirichlet``
-        and the coefficient, in the shape given, as ``coefficient``."""
+        """Stiffness matrix on the free (non-Dirichlet) vertices, in the
+        order of ``free``, carrying this assembler as its ``assembler``
+        attribute for ``solve_dirichlet`` and the coefficient, in the
+        shape given, as ``coefficient``."""
         mesh = self.mesh
         parts = _tensor_parts(mesh, coeff)
         g = mesh.cell_basis_gradients
@@ -246,62 +249,49 @@ class StiffnessAssembler:
             loc[cells, 6:] = loc[cells, 3:6]
         # cell-major order: both slots of an entry sum the same values in
         # the same order
+        nnz = self._indices.size
         vals = np.bincount(self._slots, weights=loc.ravel(),
-                           minlength=self._indices.size)
+                           minlength=nnz + 1)[:nnz]
         del loc
-        nv = mesh.n_vertices
-        K = sp.csr_matrix(
-            (vals, self._indices.copy(), self._indptr.copy()), shape=(nv, nv)
-        )
+        n = self.free.size
+        K = sp.csr_matrix((vals, self._indices, self._indptr), shape=(n, n))
         K.assembler = self
         # not a copy, and a constant one not widened
         K.coefficient = np.asarray(coeff, dtype=float)
         return K
 
-    def operators(self, matrix: sp.csr_matrix):
-        """(A, M): the reduced (free-dof) matrix and its V-cycle, built
-        afresh on every call.
+    def preconditioner(self, K: sp.csr_matrix):
+        """Symmetric V-cycle for the assembled matrix K, as the SPD map
+        b -> M^-1 b, built afresh on every call.
 
-        The finest level of the V-cycle comes from the matrix itself.
-        Its coarse levels are the assembler's: built with the transfers
-        from the first matrix, then rebuilt with the kept transfers from
-        a matrix whose coefficient is more than ``_REBUILD_CONTRAST``
-        apart from the one they were built from (``_contrast``), and
-        kept otherwise.  A build that raises stores nothing, and the
-        next matrix builds again.  The assembler keeps that
-        coefficient without copying it, so it must not be modified in
-        place after a solve.
+        The finest level is K with its smoother weights.  The coarse
+        levels are the assembler's: built with the transfers from the
+        first matrix, then rebuilt with the kept transfers from a matrix
+        whose coefficient is more than ``_REBUILD_CONTRAST`` apart from
+        the one they were built from (``_contrast``), and kept
+        otherwise.  A build that raises stores nothing, and the next
+        matrix builds again.  The assembler keeps that coefficient
+        without copying it, so it must not be modified in place after a
+        solve.
         """
-        n = self.free.size
-        A = sp.csr_matrix(
-            (matrix.data[self._gather], self._free_indices, self._free_indptr),
-            shape=(n, n),
-        )
-        diag = A.diagonal()
+        diag = K.diagonal()
         if not (diag > 0.0).all():
             i = int(np.flatnonzero(diag <= 0.0)[0])
             raise IllPosedCoefficientError(
-                f"nonpositive stiffness diagonal at reduced index {i}"
+                f"nonpositive stiffness diagonal at free index {i}"
             )
         # before any coarse build: weights that overflow raise here
-        weights = _chebyshev_weights(A)
-        parts = _tensor_parts(self.mesh, matrix.coefficient)
-        # with no coarse level the coarsest inverse is A's own
+        weights = _chebyshev_weights(K)
+        parts = _tensor_parts(self.mesh, K.coefficient)
+        # with no coarse level the coarsest inverse is K's own
         if (self._coarse is None or not self._transfers
                 or _contrast(parts, self._reference) > _REBUILD_CONTRAST):
             self._coarse = None  # freed before the new one is built
-            transfers, levels, inverse = _coarse_levels(A, self._transfers)
+            transfers, levels, inverse = _coarse_levels(K, self._transfers)
             self._transfers, self._coarse = transfers, (levels, inverse)
             self._reference = parts
-        return A, self.preconditioner(A, weights)
-
-    def preconditioner(self, A: sp.csr_matrix, weights):
-        """Symmetric V-cycle for the reduced matrix A, as the SPD map
-        b -> M^-1 b: A and its smoother weights on the finest level,
-        below it the coarse levels ``operators`` keeps for A's
-        coefficient."""
         coarse_levels, inverse = self._coarse
-        levels = [(A, weights)] + coarse_levels
+        levels = [(K, weights)] + coarse_levels
         transfers = self._transfers
 
         def vcycle(b):
@@ -372,7 +362,8 @@ def assemble_load(mesh: Mesh, f) -> np.ndarray:
 
 @dataclass
 class LinearSystem:
-    """Assembled symmetric system with a Dirichlet vertex mask."""
+    """An assembled free-dof matrix, the load on every vertex and the
+    Dirichlet vertex mask."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -667,21 +658,21 @@ def cg(A, b, x0=None, *, rtol, maxiter, M, callback=None, bound=None):
 def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
                     x0: np.ndarray | None = None,
                     bound: RejectionBound | None = None):
-    """Solve with zero Dirichlet values via symmetric elimination.
+    """Solve with zero Dirichlet values on the assembled free-dof matrix.
 
     The matrix must come from a ``StiffnessAssembler``: the Dirichlet
-    mask is its mesh boundary, and the free-dof pattern, gather and
-    aggregation transfers are the assembler's.  The boundary rows and
-    columns are dropped (the boundary values are set to exactly 0.0) by
-    gathering the free-dof block straight from the matrix data, and the
-    reduced SPD system is solved by conjugate gradients (``cg``) down
-    to a relative residual of ``rtol``.  The preconditioner is a
-    smoothed-aggregation multigrid V-cycle.  What persists lives on the
-    assembler: its coarse levels are kept from an earlier matrix whose
-    coefficient is within ``_REBUILD_CONTRAST`` of this one's and
-    rebuilt from this matrix otherwise
-    (``StiffnessAssembler.operators``).  The reduced matrix and the
-    V-cycle's finest level are built by this solve and freed on return.
+    mask is its mesh boundary, and the matrix is the stiffness on the
+    free vertices only, its Dirichlet rows and columns eliminated once
+    per mesh by the assembler's pattern.  The load, ``x0`` and a
+    bound's vectors are on all vertices; their free entries form the
+    system, which is solved by conjugate gradients (``cg``) down to a
+    relative residual of ``rtol``, and the boundary values are set to
+    exactly 0.0.  The preconditioner is a smoothed-aggregation
+    multigrid V-cycle (``StiffnessAssembler.preconditioner``).  What
+    persists lives on the assembler: its coarse levels are kept from an
+    earlier matrix whose coefficient is within ``_REBUILD_CONTRAST`` of
+    this one's and rebuilt from this matrix otherwise.  The V-cycle's
+    finest level is built by this solve and freed on return.
 
     Returns the solution, or None when a ``bound`` is given and CG's
     estimate of the solution's cost reaches it (a rejection, not a
@@ -690,17 +681,20 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     Raises
     ------
     ValueError
-        If the matrix has no assembler or not its pattern, the mask is
-        not the boundary of the assembler's mesh, or the load, ``x0``
-        or a vector of the bound does not have the matrix's length.
+        If ``rtol`` is not in (0, inf), the matrix has no assembler or
+        not its pattern, the mask is not the boundary of the
+        assembler's mesh, or the load, ``x0`` or a vector of the bound
+        does not have one entry per vertex of that mesh.
     SolverFailure
         If CG stops without reaching the tolerance (the message reports
         the achieved relative residual), or if the multigrid set-up
         fails: a level that aggregation cannot halve, a coarsest
         operator that is not positive definite, or an overflow.
     IllPosedCoefficientError
-        If the reduced matrix has a nonpositive diagonal entry.
+        If the matrix has a nonpositive diagonal entry.
     """
+    if not 0.0 < rtol < np.inf:
+        raise ValueError(f"rtol must be in (0, inf), got {rtol!r}")
     K = system.matrix
     asm = getattr(K, "assembler", None)
     if asm is None:
@@ -710,7 +704,7 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
         raise ValueError("matrix pattern differs from its assembler's")
     if not np.array_equal(system.boundary, asm.mesh.boundary):
         raise ValueError("Dirichlet mask is not the matrix's mesh boundary")
-    n = K.shape[0]
+    n = asm.mesh.n_vertices
     vectors = [("load", system.rhs), ("x0", x0)]
     if bound is not None:
         if (bound.weight is None) != (bound.adjoint is None):
@@ -723,20 +717,20 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
             )
     free = asm.free
     b = system.rhs[free]
-    u = np.zeros(system.rhs.shape[0])
+    u = np.zeros(n)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return u
-    A, M = asm.operators(K)
+    M = asm.preconditioner(K)
     x_init = x0[free] if x0 is not None else None
     if bound is not None and bound.weight is not None:
         bound = bound._replace(weight=bound.weight[free],
                                adjoint=bound.adjoint[free])
-    x, info = cg(A, b, x0=x_init, rtol=rtol, M=M, maxiter=20 * A.shape[0],
+    x, info = cg(K, b, x0=x_init, rtol=rtol, M=M, maxiter=20 * K.shape[0],
                  bound=bound)
     if info == _REJECTED:
         return None
-    res = float(np.linalg.norm(b - A @ x)) / bnorm
+    res = float(np.linalg.norm(b - K @ x)) / bnorm
     if info != 0 or res > rtol * 1.01:
         raise SolverFailure(
             f"CG stopped with info={info}, relative residual {res:.3e} "

@@ -145,8 +145,9 @@ def _check_stop(tol, max_iters) -> None:
 
 
 def _solve(K, rhs, x0=None, rtol=1e-10, bound=None):
-    """u with K u = rhs and u = 0 on the boundary of K's mesh, or None
-    when the solve stops on its ``RejectionBound``.
+    """u with u = 0 on the boundary of K's mesh and K u = rhs on its
+    free vertices, or None when the solve stops on its
+    ``RejectionBound``.
 
     ``rhs`` goes into the system as it is, never copied: the
     benchmark's tracer tells a trial solve by its load object.

@@ -47,11 +47,14 @@ def hand_assembled(mesh, a):
 
 
 def test_assembly_matches_hand_loop():
-    m = build_unit_square_mesh(2)
+    # the free block of the hand assembly: n = 3 has four free vertices
+    m = build_unit_square_mesh(3)
     rng = np.random.default_rng(3)
     a = rng.uniform(0.5, 2.0, m.n_cells)
     K = StiffnessAssembler(m).assemble(a).toarray()
-    assert np.allclose(K, hand_assembled(m, a), atol=1e-14)
+    free = ~m.boundary
+    assert K.shape == (4, 4)
+    assert np.allclose(K, hand_assembled(m, a)[free][:, free], atol=1e-14)
 
 
 # local (i, j) pairs of a cell: six upper entries, then the mirrored ones
@@ -82,6 +85,18 @@ def reference_stiffness(mesh, cols):
     return indptr, pattern % nv, data
 
 
+def free_block(mesh, indptr, indices, data):
+    """The free-free entries of a full CSR stiffness, renumbered by free
+    index: (indptr, indices, data) of the free-dof matrix."""
+    free = ~mesh.boundary
+    renum = np.cumsum(free) - 1
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(indptr))
+    keep = free[rows] & free[indices]
+    counts = np.bincount(renum[rows[keep]], minlength=int(free.sum()))
+    return (np.concatenate([[0], np.cumsum(counts)]),
+            renum[indices[keep]], data[keep])
+
+
 def random_spd_columns(rng, n_cells):
     L = rng.standard_normal((n_cells, 2, 2))
     T = L @ L.transpose(0, 2, 1) + 0.05 * np.eye(2)
@@ -100,7 +115,8 @@ def test_assembly_matches_reference_bitwise(mesh):
     iso[:, 2] = scalar
     spd = random_spd_columns(rng, mesh.n_cells)
     for coeff, cols in ((scalar, iso), (spd, spd)):
-        indptr, indices, data = reference_stiffness(mesh, cols)
+        indptr, indices, data = free_block(
+            mesh, *reference_stiffness(mesh, cols))
         K = asm.assemble(coeff)
         assert np.array_equal(K.indptr, indptr)
         assert np.array_equal(K.indices, indices)
@@ -261,7 +277,8 @@ def test_compliance_matches_quadratic_form():
     a = np.full(m.n_cells, 1.3)
     u = fresh_solve(m, a, 1.0, rtol=1e-12)
     K = StiffnessAssembler(m).assemble(a)
-    assert abs(compliance(m, 1.0, u) - u @ (K @ u)) < 1e-10
+    free = ~m.boundary
+    assert abs(compliance(m, 1.0, u) - u[free] @ (K @ u[free])) < 1e-10
 
 
 def test_assembler_reuse_bitwise():
@@ -329,7 +346,8 @@ def _reduced_system(mesh, seed):
                              (lam1 - lam2) * c * s,
                              lam1 * s * s + lam2 * c * c])
     asm = StiffnessAssembler(mesh)
-    A, M = asm.operators(asm.assemble(coeff))
+    A = asm.assemble(coeff)
+    M = asm.preconditioner(A)
     f = rng.uniform(-1.0, 2.0, mesh.n_vertices)
     return A, M, assemble_load(mesh, f)[asm.free]
 
@@ -414,16 +432,17 @@ def test_solve_dirichlet_rejects_foreign_systems():
     with pytest.raises(ValueError, match="mask"):
         solve_dirichlet(LinearSystem(K, b, mask))
     altered = asm.assemble(a)
+    altered.indices = altered.indices.copy()  # the shared one is read-only
     altered.indices[[0, 1]] = altered.indices[[1, 0]]
     with pytest.raises(ValueError, match="pattern"):
         solve_dirichlet(LinearSystem(altered, b, m.boundary))
     u = solve_dirichlet(LinearSystem(K, b, m.boundary))
     assert u[m.boundary].tolist() == [0.0] * int(m.boundary.sum())
-    # a load or a warm start of another length than the matrix's
+    # a load or a warm start of another length than the mesh's
     sq = build_unit_square_mesh(8)
     K8 = StiffnessAssembler(sq).assemble(1.0)
     b8 = assemble_load(sq, 1.0)
-    assert K8.shape == (81, 81)
+    assert K8.shape == (49, 49)  # the 7 x 7 free vertices of 9 x 9
     with pytest.raises(ValueError, match="load"):
         solve_dirichlet(LinearSystem(K8, np.append(b8, [1.0, 1.0]),
                                      sq.boundary))
@@ -431,6 +450,53 @@ def test_solve_dirichlet_rejects_foreign_systems():
     for x0 in (np.zeros(83), np.zeros(79), np.zeros(40)):
         with pytest.raises(ValueError, match="x0"):
             solve_dirichlet(LinearSystem(K8, b8, sq.boundary), x0=x0)
+
+
+def test_no_and_one_free_vertex():
+    # n = 1: every vertex is on the boundary; n = 2: only the centre is free
+    empty, single = build_unit_square_mesh(1), build_unit_square_mesh(2)
+    K = StiffnessAssembler(empty).assemble(1.0)
+    assert K.shape == (0, 0) and K.nnz == 0
+    b = assemble_load(empty, 1.0)
+    u = solve_dirichlet(LinearSystem(K, b, empty.boundary))
+    assert u.tolist() == [0.0] * 4
+    free = ~single.boundary
+    b = assemble_load(single, 1.0)
+    assert b[free][0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    a = np.random.default_rng(4).uniform(0.5, 2.0, single.n_cells)
+    for coeff, hand in ((1.0, 4.0),
+                        (a, hand_assembled(single, a)[free][:, free][0, 0])):
+        K = StiffnessAssembler(single).assemble(coeff)
+        assert K.shape == (1, 1)
+        assert K[0, 0] == pytest.approx(hand, rel=1e-15)
+        u = solve_dirichlet(LinearSystem(K, b, single.boundary))
+        assert u[~free].tolist() == [0.0] * 8
+        # one unknown: u = b / K, 1/12 for the unit coefficient
+        assert u[free][0] == pytest.approx(b[free][0] / hand, rel=1e-15)
+
+
+@pytest.mark.parametrize("rtol", [np.nan, 0.0, -1e-10, np.inf])
+def test_solve_dirichlet_rejects_a_bad_rtol(monkeypatch, rtol):
+    # each of these ran all 20 n CG iterations before raising
+    # SolverFailure; now it raises before any set-up
+    import coeffopt.fem as fem
+
+    iterations = []
+    real = fem.cg
+
+    def counting(*args, **kwargs):
+        kwargs["callback"] = iterations.append
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "cg", counting)
+    m = build_unit_square_mesh(16)
+    asm = StiffnessAssembler(m)
+    system = LinearSystem(asm.assemble(1.0), assemble_load(m, 1.0), m.boundary)
+    with pytest.raises(ValueError, match="rtol"):
+        solve_dirichlet(system, rtol=rtol)
+    assert iterations == [] and asm._coarse is None
+    assert solve_dirichlet(system, rtol=1e-10) is not None
+    assert 0 < len(iterations) < 25
 
 
 def test_aggregation_that_cannot_halve_fails():
@@ -541,7 +607,8 @@ def test_rebuild_repeats_the_first_build_bitwise():
 
     m, a, _ = square_64_problem()
     asm = StiffnessAssembler(m)
-    A, _ = asm.operators(asm.assemble(a))
+    A = asm.assemble(a)
+    asm.preconditioner(A)
     transfers = asm._transfers
     levels, inverse = asm._coarse
     again, rebuilt, rebuilt_inverse = fem._coarse_levels(A, transfers)
@@ -592,9 +659,9 @@ def test_one_matrix_serves_two_loads(monkeypatch):
     builds = []
     real = fem.StiffnessAssembler.preconditioner
 
-    def counting(self, A, weights):
-        builds.append(A.shape)
-        return real(self, A, weights)
+    def counting(self, K):
+        builds.append(K.shape)
+        return real(self, K)
 
     monkeypatch.setattr(fem.StiffnessAssembler, "preconditioner", counting)
     m = build_unit_disk_mesh(0.1)
@@ -629,8 +696,8 @@ def test_solve_keeps_nothing_on_the_matrix(monkeypatch):
     vcycles = []
     real = fem.StiffnessAssembler.preconditioner
 
-    def counting(self, A, weights):
-        M = real(self, A, weights)
+    def counting(self, K):
+        M = real(self, K)
         vcycles.append(weakref.ref(M))
         return M
 
@@ -683,7 +750,7 @@ def test_coarse_levels_follow_the_coefficient(monkeypatch):
             K = asm.assemble(a)
             assert K.coefficient is a
             u = solve_dirichlet(LinearSystem(K, b, m.boundary), x0=u)
-            ref = spsolve(K[free][:, free].tocsc(), b[free])
+            ref = spsolve(K.tocsc(), b[free])
             assert np.linalg.norm(u[free] - ref) <= 1e-8 * np.linalg.norm(ref)
             us.append(u)
             counts.append(len(builds) - before)

@@ -31,6 +31,26 @@ DRIVERS = {
 }
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_drivers_run_with_no_and_one_free_vertex(n):
+    # the n = 1 square has no free vertex, the n = 2 square one
+    m = build_unit_square_mesh(n)
+    w = 1.0 + 0.5 * m.vertices[:, 0]
+    a, u, rep_c = compliance_descent(m, 1.0, PenaltySpec("quadratic"))
+    t_e, _, u_e, rep_e = energy_relaxed_solve(m, 1.0, 1.0, 2.0, 0.1)
+    t, A, u_g, p, rep_g = general_relaxed_optimize(m, 1.0, w, 0.05, 1.0, 2.0)
+    for rep in (rep_c, rep_e, rep_g):
+        assert rep.converged and rep.iterations >= 1
+        assert np.all(np.isfinite(rep.costs))
+        assert np.all(np.diff(rep.costs) < 0.0)
+    for v in (u, u_e, u_g, p):
+        assert v.shape == (m.n_vertices,) and np.all(v[m.boundary] == 0.0)
+        assert np.all(v[~m.boundary] > 0.0)
+    assert p is not u_g
+    assert np.all(a > 0.0) and np.all((t_e >= 0.0) & (t_e <= 1.0))
+    assert np.all((t >= 0.0) & (t <= 1.0)) and A.shape == (m.n_cells, 3)
+
+
 @pytest.mark.parametrize("run", DRIVERS.values(), ids=DRIVERS.keys())
 def test_stop_rule_validation(monkeypatch, run):
     real = optimize.solve_dirichlet
@@ -480,9 +500,9 @@ class _SolverLog:
             self.live_at_assembly.append(len(alive(self.vcycles)))
             return assemble(asm, coeff)
 
-        def counting_precond(asm, A, weights):
+        def counting_precond(asm, K):
             self.builds += 1
-            M = precond(asm, A, weights)
+            M = precond(asm, K)
             self.vcycles.append(weakref.ref(M))
             return M
 
