@@ -28,8 +28,9 @@ import sys
 
 import numpy as np
 
-from .gclosure import eig_sym_2x2
-from .mesh import build_unit_disk_mesh, build_unit_square_mesh, write_vtk
+from .gclosure import _check_phases, eig_sym_2x2
+from .mesh import (_check_h, _check_n, build_unit_disk_mesh,
+                   build_unit_square_mesh, write_vtk)
 from .optimize import (
     _MAX_ITERS,
     _TOL,
@@ -38,15 +39,18 @@ from .optimize import (
     energy_relaxed_solve,
     general_relaxed_optimize,
 )
-from .penalty import VARIANTS, PenaltySpec
+from .penalty import VARIANTS, PenaltySpec, _check_tau
 
-EXPERIMENTS = (
-    "compliance-quadratic",
-    "compliance-twophase",
-    "energy-relaxed",
-    "general-relaxed",
-    "custom",
-)
+# name -> (penalty variant, default gamma, default domain); custom takes
+# --penalty, and energy-relaxed's affine box is the one its driver builds
+_EXPERIMENTS = {
+    "compliance-quadratic": ("quadratic", None, "square"),
+    "compliance-twophase": ("linear-box", 0.01141, "square"),
+    "energy-relaxed": ("affine-box", 0.0142, "square"),
+    "general-relaxed": (None, None, "disk"),
+    "custom": (None, None, "square"),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 DOMAINS = ("square", "disk")
 
 # key -> (type, default, choices, help); None defaults are filled per
@@ -74,11 +78,6 @@ _SETTINGS = {
     "max_iters": (int, _MAX_ITERS, None, "iteration cap"),
     "penalty": (str, "quadratic", VARIANTS,
                 "penalty for the custom experiment"),
-}
-
-_GAMMA_DEFAULTS = {
-    "compliance-twophase": 0.01141,
-    "energy-relaxed": 0.0142,
 }
 
 _FLOAT_FMT = "%.17g"
@@ -122,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file and flags, then validate.
+    """Merge defaults, config file and flags; validate by the library's rules.
 
     Raises ValueError (bad settings) or OSError (unreadable config);
     performs no writes, so failures leave no partial outputs.
@@ -136,37 +135,36 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         if val is not None:
             settings[key] = val
 
-    exp = settings["experiment"]
-    if settings["domain"] is None:
-        settings["domain"] = "disk" if exp == "general-relaxed" else "square"
-    if settings["gamma"] is None:
-        settings["gamma"] = _GAMMA_DEFAULTS.get(exp)
+    # unset values (domain, gamma) take the experiment's defaults below
     for key, (kind, _, choices, _) in _SETTINGS.items():
         value = settings[key]
+        if value is None:
+            continue
         if choices is not None and value not in choices:
             raise ValueError(f"unknown {key} {value!r}")
-        if kind is float and value is not None and not np.isfinite(value):
+        if kind is float and not np.isfinite(value):
             raise ValueError(f"{key} must be finite")
+    _, gamma, domain = _EXPERIMENTS[settings["experiment"]]
+    settings["domain"] = settings["domain"] or domain
+    if settings["gamma"] is None:
+        settings["gamma"] = gamma
 
-    if settings["n"] < 1:
-        raise ValueError("n must be at least 1")
-    if not (0.0 < settings["h"] < 1.0):
-        raise ValueError("h must lie in (0, 1)")
-    if not (0.0 < settings["alpha"] < settings["beta"]):
-        raise ValueError("need 0 < alpha < beta")
+    _check_n(settings["n"])
+    _check_h(settings["h"])
+    _check_phases(settings["alpha"], settings["beta"])
     _check_stop(settings["tol"], settings["max_iters"])
-
-    needs_gamma = exp in ("compliance-twophase", "energy-relaxed") or (
-        exp == "custom" and settings["penalty"] in ("linear-box", "affine-box")
-    )
-    if needs_gamma:
-        if settings["gamma"] is None:
-            raise ValueError(f"{exp} needs gamma")
-        if not (settings["gamma"] > 0.0):
-            raise ValueError("gamma must be positive")
-    if exp == "general-relaxed" and not (0.0 < settings["tau"] < 0.5):
-        raise ValueError("general-relaxed needs 0 < tau < 0.5")
+    if settings["experiment"] == "general-relaxed":
+        _check_tau(settings["tau"])
+    else:
+        _penalty(settings)
     return settings
+
+
+def _penalty(settings) -> PenaltySpec:
+    """The PenaltySpec of a scalar-descent or energy-relaxed run."""
+    variant = _EXPERIMENTS[settings["experiment"]][0] or settings["penalty"]
+    return PenaltySpec(variant, alpha=settings["alpha"],
+                       beta=settings["beta"], gamma=settings["gamma"])
 
 
 def _build_mesh(settings):
@@ -226,11 +224,6 @@ def _run_general(mesh, settings):
             "report": report, "summary": summary}
 
 
-# the penalty of each scalar-descent experiment; custom takes --penalty
-_SCALAR_PENALTY = {"compliance-quadratic": "quadratic",
-                   "compliance-twophase": "linear-box"}
-
-
 def run_experiment(settings, mesh=None) -> dict:
     """Run the configured experiment: its fields, report and summary.
 
@@ -245,13 +238,7 @@ def run_experiment(settings, mesh=None) -> dict:
     elif exp == "general-relaxed":
         result = _run_general(mesh, settings)
     else:
-        variant = _SCALAR_PENALTY.get(exp, settings["penalty"])
-        if variant in ("linear-box", "affine-box"):
-            spec = PenaltySpec(variant, alpha=settings["alpha"],
-                               beta=settings["beta"], gamma=settings["gamma"])
-        else:
-            spec = PenaltySpec(variant)
-        result = _run_scalar_descent(mesh, settings, spec)
+        result = _run_scalar_descent(mesh, settings, _penalty(settings))
     report = result["report"]
     result["summary"] = {
         "final_cost": report.costs[-1],

@@ -682,9 +682,9 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     ------
     ValueError
         If ``rtol`` is not in (0, inf), the matrix has no assembler or
-        not its pattern, the mask is not the boundary of the
-        assembler's mesh, or the load, ``x0`` or a vector of the bound
-        does not have one entry per vertex of that mesh.
+        not its pattern, the mask is not the boundary of the assembler's
+        mesh, ``x0`` is not finite, or the load, ``x0`` or a vector of
+        the bound does not have one entry per vertex of that mesh.
     SolverFailure
         If CG stops without reaching the tolerance (the message reports
         the achieved relative residual), or if the multigrid set-up
@@ -715,6 +715,8 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
             raise ValueError(
                 f"{name} must have shape ({n},), got {np.shape(v)}"
             )
+    if x0 is not None and not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
     free = asm.free
     b = system.rhs[free]
     u = np.zeros(n)

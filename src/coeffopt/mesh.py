@@ -136,6 +136,16 @@ def _finish(vertices, triangles, boundary) -> Mesh:
     return Mesh(vertices, triangles, boundary, areas, grads)
 
 
+def _check_n(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
+def _check_h(h) -> None:
+    if not (0.0 < h < 1.0):
+        raise ValueError(f"h must lie in (0, 1), got {h!r}")
+
+
 def build_unit_square_mesh(n: int) -> Mesh:
     """Criss-cross triangulation of [0,1]^2 with n x n quads.
 
@@ -148,9 +158,7 @@ def build_unit_square_mesh(n: int) -> Mesh:
     n : int
         Subdivisions per side, n >= 1.
     """
-    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
-            or n < 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     n = int(n)
     coords = np.arange(n + 1) / n
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
@@ -191,8 +199,7 @@ def build_unit_disk_mesh(h: float) -> Mesh:
     h : float
         Target edge length, 0 < h < 1.
     """
-    if not (0.0 < h < 1.0):
-        raise ValueError(f"h must lie in (0, 1), got {h!r}")
+    _check_h(h)
     n = max(1, math.ceil(1.0 / h))
 
     rings = [np.zeros((1, 2))]

@@ -1,6 +1,6 @@
 """Radial closed-form solutions used as reference oracles.
 
-All formulas live on the unit ball with homogeneous Dirichlet data.
+All formulas live on the unit disk with homogeneous Dirichlet data.
 ``radial_ode_residual`` provides an independent finite-difference check
 that a (u, a) pair satisfies -div(a grad u) = f away from breakpoints.
 """
@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .gclosure import _check_phases
+from .penalty import _check_tau
 
 __all__ = [
     "ex11_ball",
@@ -22,15 +25,15 @@ __all__ = [
 ]
 
 
-def ex11_ball(r, d: int = 2):
+def ex11_ball(r):
     """Quadratic-penalty optimum for f = 1.
 
-    u(r) = 3/(4 d^(1/3)) (1 - r^(4/3)),  a(r) = r^(2/3) / d^(2/3).
+    u(r) = 3/(4 * 2^(1/3)) (1 - r^(4/3)),  a(r) = r^(2/3) / 2^(2/3).
     Returns (u, a).
     """
     r = np.asarray(r, dtype=float)
-    u = 3.0 / (4.0 * d ** (1.0 / 3.0)) * (1.0 - r ** (4.0 / 3.0))
-    a = r ** (2.0 / 3.0) / d ** (2.0 / 3.0)
+    u = 3.0 / (4.0 * 2 ** (1.0 / 3.0)) * (1.0 - r ** (4.0 / 3.0))
+    a = r ** (2.0 / 3.0) / 2 ** (2.0 / 3.0)
     if u.ndim == 0:
         return float(u), float(a)
     return u, a
@@ -51,46 +54,45 @@ def ex11_dirac(r):
     return u, a
 
 
-def ex13_ball(r, d: int = 2):
+def ex13_ball(r):
     """Inverse-square-penalty optimum for f = 1.
 
-    u(r) = (1 - r^4) / (4 d^3),  a(r) = d^2 / r^2 (singular at r = 0).
+    u(r) = (1 - r^4) / 32,  a(r) = 4 / r^2 (singular at r = 0).
     Returns (u, a).
     """
     r = np.asarray(r, dtype=float)
-    u = (1.0 - r ** 4) / (4.0 * d ** 3)
+    u = (1.0 - r ** 4) / 32.0
     with np.errstate(divide="ignore"):
-        a = d ** 2 / r ** 2
+        a = 4.0 / r ** 2
     if u.ndim == 0:
         return float(u), float(a)
     return u, a
 
 
-def ex14_ball(r, alpha: float, beta: float, gamma: float, d: int = 2):
+def ex14_ball(r, alpha: float, beta: float, gamma: float):
     """Two-phase optimum of the affine-box energy problem for f = 1.
 
-    The interface sits at tau = d sqrt(alpha beta gamma) (requires
-    gamma < 1/(d^2 alpha beta) so tau < 1); the stiff phase beta fills
+    The interface sits at tau = 2 sqrt(alpha beta gamma) (requires
+    gamma < 1/(4 alpha beta) so tau < 1); the stiff phase beta fills
     r < tau and the soft phase alpha fills r > tau:
 
-        u(r) = (1-tau^2)(beta-alpha)/(2 d alpha beta)
-               + (1-r^2)/(2 d beta)            r <= tau
-        u(r) = (1-r^2)/(2 d alpha)             r >  tau
+        u(r) = (1-tau^2)(beta-alpha)/(4 alpha beta)
+               + (1-r^2)/(4 beta)              r <= tau
+        u(r) = (1-r^2)/(4 alpha)               r >  tau
 
     Returns (u, a, tau).
     """
-    if not (0.0 < alpha < beta):
-        raise ValueError("phases must satisfy 0 < alpha < beta")
-    if not (0.0 < gamma < 1.0 / (d * d * alpha * beta)):
+    _check_phases(alpha, beta)
+    if not (0.0 < gamma < 1.0 / (4 * alpha * beta)):
         raise ValueError(
-            f"gamma must lie in (0, 1/(d^2 alpha beta)) = "
-            f"(0, {1.0 / (d * d * alpha * beta):.6g}), got {gamma}"
+            f"gamma must lie in (0, 1/(4 alpha beta)) = "
+            f"(0, {1.0 / (4 * alpha * beta):.6g}), got {gamma}"
         )
-    tau = d * math.sqrt(alpha * beta * gamma)
+    tau = 2 * math.sqrt(alpha * beta * gamma)
     r = np.asarray(r, dtype=float)
-    inner = (1.0 - tau * tau) * (beta - alpha) / (2.0 * d * alpha * beta) \
-        + (1.0 - r * r) / (2.0 * d * beta)
-    outer = (1.0 - r * r) / (2.0 * d * alpha)
+    inner = (1.0 - tau * tau) * (beta - alpha) / (4.0 * alpha * beta) \
+        + (1.0 - r * r) / (4.0 * beta)
+    outer = (1.0 - r * r) / (4.0 * alpha)
     u = np.where(r <= tau, inner, outer)
     a = np.where(r <= tau, beta, alpha)
     if u.ndim == 0:
@@ -98,24 +100,23 @@ def ex14_ball(r, alpha: float, beta: float, gamma: float, d: int = 2):
     return u, a, tau
 
 
-def counterexample_fields(r, tau: float, d: int = 2):
+def counterexample_fields(r, tau: float):
     """Classical optimum (a0, u0') of the threshold problem at epsilon = 0.
 
-    For psi(s) = tau^2 s on [1, 2] with 0 < tau < 1/d and f = 1 the
-    optimal pair is radial with |flux| = r/d throughout:
+    For psi(s) = tau^2 s on [1, 2] with 0 < tau < 1/2 and f = 1 the
+    optimal pair is radial with |flux| = r/2 throughout:
 
-        a0 = 1,        u0' = -r/d        r <  d tau
-        a0 = r/(d tau), u0' = -tau       d tau <= r <= 2 d tau
-        a0 = 2,        u0' = -r/(2 d)    r >  2 d tau
+        a0 = 1,        u0' = -r/2        r <  2 tau
+        a0 = r/(2 tau), u0' = -tau       2 tau <= r <= 4 tau
+        a0 = 2,        u0' = -r/4        r >  4 tau
 
     Returns (a0, du0).
     """
-    if not (0.0 < tau < 1.0 / d):
-        raise ValueError(f"tau must lie in (0, 1/{d}), got {tau}")
+    _check_tau(tau)
     r = np.asarray(r, dtype=float)
-    lo, hi = d * tau, 2.0 * d * tau
-    a0 = np.where(r < lo, 1.0, np.where(r <= hi, r / (d * tau), 2.0))
-    du0 = np.where(r < lo, -r / d, np.where(r <= hi, -tau, -r / (2.0 * d)))
+    lo, hi = 2 * tau, 4.0 * tau
+    a0 = np.where(r < lo, 1.0, np.where(r <= hi, r / (2 * tau), 2.0))
+    du0 = np.where(r < lo, -r / 2, np.where(r <= hi, -tau, -r / 4.0))
     if a0.ndim == 0:
         return float(a0), float(du0)
     return a0, du0
@@ -141,16 +142,16 @@ def upsilon(s, tau: float):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def radial_ode_residual(r, a_fn, d: int = 2, u_fn=None, du_fn=None,
-                        h: float = 1e-4):
-    """Finite-difference residual of -(r^(d-1) a u')' / r^(d-1).
+def radial_ode_residual(r, a_fn, u_fn=None, du_fn=None):
+    """Finite-difference residual of -(r a u')' / r.
 
-    Evaluates the radial operator with central differences only, so the
-    check is independent of any closed-form derivative.  Supply either
-    u_fn (u' is then approximated by differences) or du_fn directly.
-    Points within a few h of breakpoints of a or u should be excluded
-    by the caller.
+    Evaluates the radial operator with central differences of step
+    h = 1e-4 only, so the check is independent of any closed-form
+    derivative.  Supply either u_fn (u' is then approximated by
+    differences) or du_fn directly.  Points within a few h of
+    breakpoints of a or u should be excluded by the caller.
     """
+    h = 1e-4
     r = np.asarray(r, dtype=float)
     if du_fn is None:
         if u_fn is None:
@@ -164,7 +165,7 @@ def radial_ode_residual(r, a_fn, d: int = 2, u_fn=None, du_fn=None,
         du = du_fn
 
     def flux(x):
-        return x ** (d - 1) * a_fn(x) * du(x)
+        return x * a_fn(x) * du(x)
 
     dflux = (flux(r + h) - flux(r - h)) / (2.0 * h)
-    return -dflux / r ** (d - 1)
+    return -dflux / r

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gclosure import _check_phases
+
 __all__ = [
     "PenaltySpec",
     "counterexample_penalty",
@@ -44,11 +46,8 @@ RECOVERY_CAP = 1e8
 
 
 def _check_box(alpha, beta, gamma):
-    """The box parameters: 0 < alpha < beta < inf and 0 < gamma < inf."""
-    if not (0.0 < alpha < beta < np.inf):
-        raise ValueError(
-            f"box penalty needs 0 < alpha < beta, got ({alpha}, {beta})"
-        )
+    """The box parameters: the phase rule and 0 < gamma < inf."""
+    _check_phases(alpha, beta)
     if gamma is None or not (0.0 < gamma < np.inf):
         raise ValueError("box penalty needs gamma > 0")
 
@@ -80,10 +79,14 @@ class PenaltySpec:
         return self.variant in _BOX_VARIANTS
 
 
-def counterexample_penalty(tau: float, d: int = 2) -> PenaltySpec:
-    """psi(s) = tau^2 * s on [1, 2]; requires 0 < tau < 1/d."""
-    if not (0.0 < tau < 1.0 / d):
-        raise ValueError(f"tau must lie in (0, 1/{d}), got {tau}")
+def _check_tau(tau) -> None:
+    if not (0.0 < tau < 0.5):
+        raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
+
+
+def counterexample_penalty(tau: float) -> PenaltySpec:
+    """psi(s) = tau^2 * s on [1, 2]; requires 0 < tau < 1/2."""
+    _check_tau(tau)
     return PenaltySpec("linear-box", alpha=1.0, beta=2.0, gamma=tau * tau)
 
 

@@ -179,19 +179,31 @@ def test_main_bad_settings_exit_2(tmp_path, capsys):
 
 def test_stop_rule_is_the_drivers(monkeypatch, tmp_path, capsys):
     # the defaults and the checks of tol and max_iters are the drivers'
-    # own, and a bad value still exits 2 before the mesh is built
+    # own, the other rules are the mesh builders', the phase rule, the
+    # penalty's and the threshold problem's, and a bad value still exits
+    # 2 before the mesh is built
     s = resolve([])
     assert (s["tol"], s["max_iters"]) == (optimize._TOL, optimize._MAX_ITERS)
     built = []
     monkeypatch.setattr(cli, "_build_mesh", built.append)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("max_iters = -2\n")
-    for argv, message in ((["--tol", "0"], "tol must be positive"),
-                          (["--tol=-1e-3"], "tol must be positive"),
-                          (["--max-iters", "0"], "max_iters must be an int"),
-                          (["--config", str(cfg)], "max_iters must be an int")):
+    twophase = ["--experiment", "compliance-twophase"]
+    for argv, message in (
+        (["--tol", "0"], "tol must be positive"),
+        (["--tol=-1e-3"], "tol must be positive"),
+        (["--max-iters", "0"], "max_iters must be an int"),
+        (["--config", str(cfg)], "max_iters must be an int"),
+        (["--n", "0"], "n must be a positive integer, got 0"),
+        (["--h", "1"], "h must lie in (0, 1), got 1.0"),
+        (["--alpha", "3"], "phases must satisfy 0 < alpha < beta"),
+        (twophase + ["--gamma", "-1"], "box penalty needs gamma > 0"),
+        (["--experiment", "general-relaxed", "--tau", "0.6"],
+         "tau must lie in (0, 1/2), got 0.6"),
+    ):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
     assert built == []
 
 

@@ -499,6 +499,33 @@ def test_solve_dirichlet_rejects_a_bad_rtol(monkeypatch, rtol):
     assert 0 < len(iterations) < 25
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_dirichlet_rejects_a_nonfinite_start(monkeypatch, bad):
+    # one such entry ran all 20 n CG iterations before raising
+    # SolverFailure; now it raises before any set-up
+    import coeffopt.fem as fem
+
+    iterations = []
+    real = fem.cg
+
+    def counting(*args, **kwargs):
+        kwargs["callback"] = iterations.append
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "cg", counting)
+    m = build_unit_square_mesh(16)
+    asm = StiffnessAssembler(m)
+    system = LinearSystem(asm.assemble(1.0), assemble_load(m, 1.0), m.boundary)
+    x0 = np.zeros(m.n_vertices)
+    x0[np.flatnonzero(~m.boundary)[0]] = bad
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        solve_dirichlet(system, x0=x0)
+    assert iterations == [] and asm._coarse is None
+    x0[:] = 0.0
+    assert solve_dirichlet(system, x0=x0) is not None
+    assert 0 < len(iterations) < 25
+
+
 def test_aggregation_that_cannot_halve_fails():
     # no off-diagonal entries, so every row is its own aggregate
     import coeffopt.fem as fem

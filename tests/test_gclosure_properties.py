@@ -3,7 +3,7 @@
 ``is_admissible`` against the d = 2 closed form, a dense scan of the
 violation envelope in d = 3, the lamination curve in d = 2..4 and its
 own per-row calls; ``clamp_spectrum`` and ``optimal_laminate`` against
-the eigenvalue box they promise.
+the eigenvalue box they promise, and the convexity of that box.
 """
 
 import itertools
@@ -219,3 +219,23 @@ def test_optimal_laminate_stacked_boxes_match_separate_calls(case, ab):
     # one gradient pair against a stack of boxes
     one = optimal_laminate(gu[0], gp[0], mu[:, 0], nu[:, 0])
     assert one.tobytes() == out[:, 0].tobytes()
+
+
+@SETTINGS
+@given(unit, unit, unit, st.lists(unit, min_size=4, max_size=4), angle,
+       angle, phases())
+def test_lamination_box_is_convex(t1, t2, s, xs, th1, th2, ab):
+    # lambda_max is convex and mu_t affine in t; lambda_min is concave
+    # and nu_t convex.  So a convex combination of members of the boxes
+    # [nu_t1, mu_t1] and [nu_t2, mu_t2] lies in the box at the combined
+    # fraction, up to rounding: the laminate trials rely on this
+    alpha, beta = ab
+    (mu1, mu2), (nu1, nu2) = lamination_means(np.array([t1, t2]), alpha,
+                                              beta)
+    x1, y1, x2, y2 = xs
+    a1 = tensor_cols(nu1 + x1 * (mu1 - nu1), nu1 + y1 * (mu1 - nu1), th1)
+    a2 = tensor_cols(nu2 + x2 * (mu2 - nu2), nu2 + y2 * (mu2 - nu2), th2)
+    lam1, lam2, _, _ = eig_sym_2x2((1.0 - s) * a1 + s * a2)
+    mu, nu = lamination_means(min((1.0 - s) * t1 + s * t2, 1.0), alpha, beta)
+    slack = 16 * np.finfo(float).eps * beta
+    assert nu - slack <= lam1 <= lam2 <= mu + slack
