@@ -25,10 +25,10 @@ each level from the Galerkin operator just formed and kept for the
 V-cycle, so every operator is formed once; later rebuilds reuse those
 transfers.  A solve builds the V-cycle's finest level (its smoother
 weights) from its matrix and frees it on return.  Each matrix the
-assembler builds carries it and the coefficient it was assembled from,
-and ``solve_dirichlet`` takes the Dirichlet mask from there; a matrix
-built any other way, or paired with another mask, raises
-``ValueError``.
+assembler builds carries it and a read-only copy of the coefficient it
+was assembled from, and ``solve_dirichlet`` takes the Dirichlet mask
+from there; a matrix built any other way, or paired with another mask,
+raises ``ValueError``.
 
 The coarse levels - the Galerkin operators below the finest level,
 their smoother weights and the coarsest inverse - are kept with the
@@ -162,13 +162,13 @@ class StiffnessAssembler:
     What persists across solves lives here and nowhere else: the
     aggregation transfers, built with the first coarse levels and
     reused by every later rebuild, and the V-cycle's coarse levels with
-    the coefficient they were built from, which ``preconditioner``
-    rebuilds only when a matrix's coefficient has moved farther than
-    ``_REBUILD_CONTRAST`` from that one.  A solve builds its finest
-    level and frees it on return.  So the solves of one assembler, and
-    hence its results in the last digits, depend on the sequence of
-    coefficients it has solved with; a fresh assembler repeats them bit
-    for bit.
+    the coefficient they were built from, a matrix's read-only copy,
+    which ``preconditioner`` rebuilds only when a matrix's coefficient
+    has moved farther than ``_REBUILD_CONTRAST`` from that one.  A
+    solve builds its finest level and frees it on return.  So the
+    solves of one assembler, and hence its results in the last digits,
+    depend on the sequence of coefficients it has solved with; a fresh
+    assembler repeats them bit for bit.
     """
 
     def __init__(self, mesh: Mesh):
@@ -215,9 +215,12 @@ class StiffnessAssembler:
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Stiffness matrix on the free (non-Dirichlet) vertices, in the
         order of ``free``, carrying this assembler as its ``assembler``
-        attribute for ``solve_dirichlet`` and the coefficient, in the
-        shape given, as ``coefficient``."""
+        attribute for ``solve_dirichlet`` and a read-only copy of the
+        coefficient, in the shape given, as ``coefficient``."""
         mesh = self.mesh
+        # a copy, so the caller may reuse its array; a constant not widened
+        coeff = np.array(coeff, dtype=float)
+        coeff.setflags(write=False)
         parts = _tensor_parts(mesh, coeff)
         g = mesh.cell_basis_gradients
         nt = mesh.n_cells
@@ -256,8 +259,7 @@ class StiffnessAssembler:
         n = self.free.size
         K = sp.csr_matrix((vals, self._indices, self._indptr), shape=(n, n))
         K.assembler = self
-        # not a copy, and a constant one not widened
-        K.coefficient = np.asarray(coeff, dtype=float)
+        K.coefficient = coeff
         return K
 
     def preconditioner(self, K: sp.csr_matrix):
@@ -270,17 +272,10 @@ class StiffnessAssembler:
         whose coefficient is more than ``_REBUILD_CONTRAST`` apart from
         the one they were built from (``_contrast``), and kept
         otherwise.  A build that raises stores nothing, and the next
-        matrix builds again.  The assembler keeps that coefficient
-        without copying it, so it must not be modified in place after a
-        solve.
+        matrix builds again.
         """
-        diag = K.diagonal()
-        if not (diag > 0.0).all():
-            i = int(np.flatnonzero(diag <= 0.0)[0])
-            raise IllPosedCoefficientError(
-                f"nonpositive stiffness diagonal at free index {i}"
-            )
-        # before any coarse build: weights that overflow raise here
+        # before any coarse build: a nonpositive diagonal and weights
+        # that overflow raise here
         weights = _chebyshev_weights(K)
         parts = _tensor_parts(self.mesh, K.coefficient)
         # with no coarse level the coarsest inverse is K's own
@@ -363,15 +358,11 @@ def assemble_load(mesh: Mesh, f) -> np.ndarray:
 @dataclass
 class LinearSystem:
     """An assembled free-dof matrix, the load on every vertex and the
-    Dirichlet vertex mask."""
+    Dirichlet vertex mask; ``solve_dirichlet`` checks them."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     boundary: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.rhs).all():
-            raise ValueError("load vector has nonfinite entries")
 
 
 class RejectionBound(NamedTuple):
@@ -415,8 +406,14 @@ def _galerkin(A, P, R) -> sp.csr_matrix:
 
 def _gershgorin(A: sp.csr_matrix):
     """(diag(A), rho) with rho Gershgorin-bounding the spectrum of
-    diag(A)^-1 A."""
+    diag(A)^-1 A; ``IllPosedCoefficientError`` if diag(A) is not
+    positive."""
     diag = A.diagonal()
+    if not (diag > 0.0).all():
+        i = int(np.flatnonzero(diag <= 0.0)[0])
+        raise IllPosedCoefficientError(
+            f"nonpositive stiffness diagonal at free index {i}"
+        )
     rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) / diag))
     return diag, rho
 
@@ -683,8 +680,8 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     ValueError
         If ``rtol`` is not in (0, inf), the matrix has no assembler or
         not its pattern, the mask is not the boundary of the assembler's
-        mesh, ``x0`` is not finite, or the load, ``x0`` or a vector of
-        the bound does not have one entry per vertex of that mesh.
+        mesh, or the load, ``x0`` or a vector of the bound does not
+        have one entry per vertex of that mesh, or a nonfinite one.
     SolverFailure
         If CG stops without reaching the tolerance (the message reports
         the achieved relative residual), or if the multigrid set-up
@@ -715,8 +712,8 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
             raise ValueError(
                 f"{name} must have shape ({n},), got {np.shape(v)}"
             )
-    if x0 is not None and not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+        if v is not None and not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
     free = asm.free
     b = system.rhs[free]
     u = np.zeros(n)

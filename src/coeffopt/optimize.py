@@ -123,9 +123,10 @@ _MAX_TRIALS = 31
 # a trial solve stops once its estimate puts the trial's cost at
 # J + _MARGIN |J| or above.  The margin covers the gap between the
 # energy bound and the cost of the converged solve, |x.r| <= rtol |b|
-# |x|, that is rtol |J| times the ratio |b| |x| / |b.x|, and the error
-# of the adjoint estimate, which is not a bound; margins of 1e-10 and
-# 1e-8 give the same outputs on the acceptance-size runs
+# |x| with rtol solve_dirichlet's default 1e-10, that is rtol |J| times
+# the ratio |b| |x| / |b.x|, and the error of the adjoint estimate,
+# which is not a bound; margins of 1e-10 and 1e-8 give the same
+# outputs on the acceptance-size runs
 _MARGIN = 1e-9
 # gradient_check's solve tolerance, tight enough that the central
 # difference measures the cost, not the solver error, and its
@@ -144,16 +145,16 @@ def _check_stop(tol, max_iters) -> None:
             f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 
-def _solve(K, rhs, x0=None, rtol=1e-10, bound=None):
+def _solve(K, rhs, **kwargs):
     """u with u = 0 on the boundary of K's mesh and K u = rhs on its
     free vertices, or None when the solve stops on its
-    ``RejectionBound``.
+    ``RejectionBound``; the keywords go to ``solve_dirichlet``.
 
     ``rhs`` goes into the system as it is, never copied: the
     benchmark's tracer tells a trial solve by its load object.
     """
     system = LinearSystem(K, rhs, K.assembler.mesh.boundary)
-    return solve_dirichlet(system, rtol=rtol, x0=x0, bound=bound)
+    return solve_dirichlet(system, **kwargs)
 
 
 def _trial_bound(J: float, rest: float, weight=None, adjoint=None):

@@ -154,9 +154,9 @@ def test_general_at_zero_epsilon_solves_no_adjoint(monkeypatch, domain,
     real = optimize.solve_dirichlet
     loads = []
 
-    def solve(system, rtol=1e-10, x0=None, bound=None):
+    def solve(system, x0=None, **kwargs):
         loads.append(system.rhs)
-        return real(system, rtol=rtol, x0=x0, bound=bound)
+        return real(system, x0=x0, **kwargs)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     s = resolve(["--experiment", "general-relaxed", "--domain", domain,

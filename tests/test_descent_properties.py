@@ -1,11 +1,14 @@
 """Property tests for the descent drivers.
 
-Every step the line search accepts strictly lowers the cost, so the
-cost history of ``compliance_descent`` (any penalty variant, any
-initial coefficient) and of the laminate descent (any cost tilt) is
-strictly decreasing on any mesh, with one step and one ratio per
-accepted update and every step in (0, 1].  Each ratio is the relative
-change the stop test reads, so every one but the last is at least tol.
+Every step the line search accepts strictly lowers the cost, and so
+does every update of the alternating energy minimization, whose
+half-steps are exact and whose steps are all 1.0.  So the cost history
+of ``compliance_descent`` (any penalty variant, any initial
+coefficient), of the laminate descent (any cost tilt) and of
+``energy_relaxed_solve`` (any phases, load and gamma) is strictly
+decreasing on any mesh, with one step and one ratio per accepted update
+and every step in (0, 1].  Each ratio is the relative change the stop
+test reads, so every one but the last is at least tol.
 """
 
 import numpy as np
@@ -15,7 +18,11 @@ from hypothesis.extra.numpy import arrays
 
 from coeffopt import optimize
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
-from coeffopt.optimize import compliance_descent, general_relaxed_optimize
+from coeffopt.optimize import (
+    compliance_descent,
+    energy_relaxed_solve,
+    general_relaxed_optimize,
+)
 from coeffopt.penalty import VARIANTS, PenaltySpec
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -71,3 +78,13 @@ def test_laminate_cost_history_strictly_decreases(mesh, tilt, tau):
     rep = general_relaxed_optimize(mesh, 1.0, weight, tau ** 2,
                                    1.0, 2.0, max_iters=15)[4]
     check_history(rep)
+
+
+@SETTINGS
+@given(meshes, st.floats(0.0, 2.0), st.floats(0.2, 2.0),
+       st.floats(1.1, 20.0), st.floats(1e-4, 1.0))
+def test_energy_cost_history_strictly_decreases(mesh, f, alpha, ratio, gamma):
+    rep = energy_relaxed_solve(mesh, f, alpha, ratio * alpha, gamma,
+                               max_iters=50)[3]
+    check_history(rep)
+    assert rep.steps == [1.0] * rep.iterations

@@ -249,10 +249,14 @@ def test_solver_failure_on_unreachable_tolerance():
 
 
 def test_linear_system_rejects_nonfinite_rhs():
-    K = sp.eye(3, format="csr")
-    rhs = np.array([1.0, np.nan, 0.0])
-    with pytest.raises(ValueError):
-        LinearSystem(K, rhs, np.zeros(3, dtype=bool))
+    # the record takes any load; the solve checks it on every vertex,
+    # a Dirichlet one too
+    m = build_unit_square_mesh(4)
+    rhs = assemble_load(m, 1.0)
+    rhs[np.flatnonzero(m.boundary)[0]] = np.nan
+    system = LinearSystem(StiffnessAssembler(m).assemble(1.0), rhs, m.boundary)
+    with pytest.raises(ValueError, match="load must be finite"):
+        solve_dirichlet(system)
 
 
 def test_warm_start_agrees_with_cold():
@@ -290,6 +294,21 @@ def test_assembler_reuse_bitwise():
     K3 = StiffnessAssembler(m).assemble(a)
     assert (K1 != K2).nnz == 0
     assert (K1 != K3).nnz == 0
+
+
+def test_matrix_carries_a_read_only_copy_of_its_coefficient():
+    # in the shape given, a constant not widened; the caller may reuse
+    # its array, and the copy cannot be written
+    m = build_unit_square_mesh(4)
+    asm = StiffnessAssembler(m)
+    for coeff in (2.0, np.linspace(1.0, 2.0, m.n_cells),
+                  random_spd_columns(np.random.default_rng(5), m.n_cells)):
+        K = asm.assemble(coeff)
+        assert K.coefficient.shape == np.shape(coeff)
+        assert np.array_equal(K.coefficient, coeff)
+        assert not np.shares_memory(K.coefficient, coeff)
+        with pytest.raises(ValueError, match="read-only"):
+            K.coefficient[...] = 1.0
 
 
 def test_cost_functional_rejects_out_of_domain():
@@ -501,8 +520,10 @@ def test_solve_dirichlet_rejects_a_bad_rtol(monkeypatch, rtol):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_dirichlet_rejects_a_nonfinite_start(monkeypatch, bad):
-    # one such entry ran all 20 n CG iterations before raising
-    # SolverFailure; now it raises before any set-up
+    # one such entry in x0 ran all 20 n CG iterations before raising
+    # SolverFailure, and one in the adjoint kept the bound from ever
+    # firing; now each vector a solve takes raises, named, before any
+    # set-up
     import coeffopt.fem as fem
 
     iterations = []
@@ -515,14 +536,20 @@ def test_solve_dirichlet_rejects_a_nonfinite_start(monkeypatch, bad):
     monkeypatch.setattr(fem, "cg", counting)
     m = build_unit_square_mesh(16)
     asm = StiffnessAssembler(m)
-    system = LinearSystem(asm.assemble(1.0), assemble_load(m, 1.0), m.boundary)
-    x0 = np.zeros(m.n_vertices)
-    x0[np.flatnonzero(~m.boundary)[0]] = bad
-    with pytest.raises(ValueError, match="x0 must be finite"):
-        solve_dirichlet(system, x0=x0)
-    assert iterations == [] and asm._coarse is None
-    x0[:] = 0.0
-    assert solve_dirichlet(system, x0=x0) is not None
+    K = asm.assemble(1.0)
+    good = {"load": assemble_load(m, 1.0), "x0": np.zeros(m.n_vertices),
+            "weight": assemble_load(m, 1.0), "adjoint": np.zeros(m.n_vertices)}
+    for name in good:
+        v = dict(good)
+        v[name] = good[name].copy()
+        v[name][np.flatnonzero(~m.boundary)[0]] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            solve_dirichlet(LinearSystem(K, v["load"], m.boundary),
+                            x0=v["x0"],
+                            bound=RejectionBound(1.0, v["weight"], v["adjoint"]))
+        assert iterations == [] and asm._coarse is None
+    system = LinearSystem(K, good["load"], m.boundary)
+    assert solve_dirichlet(system, x0=good["x0"]) is not None
     assert 0 < len(iterations) < 25
 
 
@@ -532,6 +559,21 @@ def test_aggregation_that_cannot_halve_fails():
 
     with pytest.raises(SolverFailure, match="could not halve"):
         fem._coarse_levels(sp.identity(400, format="csr"))
+
+
+@pytest.mark.parametrize("A,message", [
+    (-sp.identity(10, format="csr"), "operator is not positive definite"),
+    (sp.diags([1e-310] * 4, format="csr"), "inverse is not finite"),
+])
+def test_coarsest_level_that_cannot_be_inverted_fails(A, message):
+    # below _MAX_COARSE, so A is the coarsest level; it fails with
+    # SolverFailure and no warning
+    import coeffopt.fem as fem
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure, match=f"coarsest multigrid {message}"):
+            fem._coarse_levels(A)
 
 
 def test_subnormal_coefficient_fails_before_cg(monkeypatch):
@@ -768,14 +810,15 @@ def test_coarse_levels_follow_the_coefficient(monkeypatch):
     assert 1.45 < fem._REBUILD_CONTRAST < 1.7
     assert 1.8 / 1.7 < fem._REBUILD_CONTRAST
 
-    def run():
+    def run(buffer=None):
         asm = StiffnessAssembler(m)
         before = len(builds)
         us, counts, u = [], [], None
         for t in path:
-            a = base * (1.0 + t * bump)[:, None]
+            a = np.multiply(base, (1.0 + t * bump)[:, None], out=buffer)
             K = asm.assemble(a)
-            assert K.coefficient is a
+            assert np.array_equal(K.coefficient, a)
+            assert K.coefficient is not a
             u = solve_dirichlet(LinearSystem(K, b, m.boundary), x0=u)
             ref = spsolve(K.tocsc(), b[free])
             assert np.linalg.norm(u[free] - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -788,3 +831,8 @@ def test_coarse_levels_follow_the_coefficient(monkeypatch):
     again, counts = run()
     assert counts == [1, 1, 1, 1, 2, 2]
     assert all(x.tobytes() == y.tobytes() for x, y in zip(us, again))
+    # the matrix keeps its own copy: one buffer reused for every
+    # coefficient is compared with the copy, not with itself
+    reused, counts = run(np.empty_like(base))
+    assert counts == [1, 1, 1, 1, 2, 2]
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(us, reused))

@@ -56,9 +56,9 @@ def test_stop_rule_validation(monkeypatch, run):
     real = optimize.solve_dirichlet
     solves = []
 
-    def solve(system, rtol=1e-10, x0=None, bound=None):
+    def solve(system, x0=None, **kwargs):
         solves.append(x0 is None)
-        return real(system, rtol=rtol, x0=x0, bound=bound)
+        return real(system, x0=x0, **kwargs)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     m = build_unit_square_mesh(4)
@@ -242,9 +242,9 @@ def test_energy_iteration_cap(monkeypatch, k):
     real = optimize.solve_dirichlet
     solves = []
 
-    def solve(system, rtol=1e-10, x0=None, bound=None):
+    def solve(system, x0=None, **kwargs):
         solves.append(x0 is None)
-        return real(system, rtol=rtol, x0=x0, bound=bound)
+        return real(system, x0=x0, **kwargs)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     m = build_unit_square_mesh(8)
@@ -376,11 +376,11 @@ def _fail_first_trial(monkeypatch):
     real = optimize.solve_dirichlet
     failures = []
 
-    def solve(system, rtol=1e-10, x0=None, bound=None):
+    def solve(system, x0=None, **kwargs):
         if x0 is not None and not failures:
             failures.append(system)
             raise SolverFailure("injected trial failure")
-        return real(system, rtol=rtol, x0=x0, bound=bound)
+        return real(system, x0=x0, **kwargs)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     return failures
@@ -412,7 +412,7 @@ def test_failed_trial_solve_is_rejected_step(monkeypatch, run):
 
 @pytest.mark.parametrize("run", [_run_compliance, _run_general])
 def test_failed_initial_solve_raises(monkeypatch, run):
-    def solve(system, rtol=1e-10, x0=None, bound=None):
+    def solve(system, **kwargs):
         raise SolverFailure("injected")
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
@@ -427,13 +427,13 @@ def _fail_warm_state_solves(monkeypatch):
     real = optimize.solve_dirichlet
     loads, failures = [], []
 
-    def solve(system, rtol=1e-10, x0=None, bound=None):
+    def solve(system, x0=None, **kwargs):
         if not loads:
             loads.append(system.rhs)
         if x0 is not None and system.rhs is loads[0]:
             failures.append(True)
             raise SolverFailure("injected trial failure")
-        return real(system, rtol=rtol, x0=x0, bound=bound)
+        return real(system, x0=x0, **kwargs)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     return failures
@@ -480,7 +480,7 @@ class _SolverLog:
             return [r for r in refs if r() is not None
                     and (obj is None or r() is obj)]
 
-        def counting_solve(system, rtol=1e-10, x0=None, bound=None):
+        def counting_solve(system, x0=None, **kwargs):
             if self.load is None:
                 self.load = system.rhs
             K = system.matrix
@@ -488,7 +488,7 @@ class _SolverLog:
                          reused=bool(alive(self.state_matrices, K)),
                          live_vcycles=len(alive(self.vcycles)))
             before = self.builds
-            u = solve(system, rtol=rtol, x0=x0, bound=bound)
+            u = solve(system, x0=x0, **kwargs)
             rec.builds = self.builds - before
             if rec.state:
                 self.state_matrices.append(weakref.ref(K))
@@ -597,13 +597,13 @@ def test_rejection_bound_changes_no_result(monkeypatch, run):
     real = optimize.solve_dirichlet
     rejected = []
 
-    def bounded(system, rtol=1e-10, x0=None, bound=None):
-        u = real(system, rtol=rtol, x0=x0, bound=bound)
+    def bounded(system, **kwargs):
+        u = real(system, **kwargs)
         rejected.append(u is None)
         return u
 
-    def unbounded(system, rtol=1e-10, x0=None, bound=None):
-        return real(system, rtol=rtol, x0=x0)
+    def unbounded(system, bound=None, **kwargs):
+        return real(system, **kwargs)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", bounded)
     fast = run()
