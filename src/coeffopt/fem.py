@@ -597,6 +597,9 @@ def _transfer(A: sp.csr_matrix):
 
 # cg's info when the solve stopped on its rejection bound
 _REJECTED = -1
+# solve_dirichlet's default relative residual; the scalar descents
+# never solve tighter than this
+_RTOL = 1e-10
 
 
 def cg(A, b, x0=None, *, rtol, maxiter, M, callback=None, bound=None):
@@ -652,7 +655,7 @@ def cg(A, b, x0=None, *, rtol, maxiter, M, callback=None, bound=None):
     return x, maxiter
 
 
-def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
+def solve_dirichlet(system: LinearSystem, rtol: float = _RTOL,
                     x0: np.ndarray | None = None,
                     bound: RejectionBound | None = None):
     """Solve with zero Dirichlet values on the assembled free-dof matrix.
@@ -683,8 +686,10 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
         mesh, or the load, ``x0`` or a vector of the bound does not
         have one entry per vertex of that mesh, or a nonfinite one.
     SolverFailure
-        If CG stops without reaching the tolerance (the message reports
-        the achieved relative residual), or if the multigrid set-up
+        If CG runs out of iterations (the message reports the achieved
+        relative residual), or meets ``rtol`` on its updated residual
+        while the true one is above 1.01 ``rtol`` (a target below the
+        attainable accuracy), or if the multigrid set-up
         fails: a level that aggregation cannot halve, a coarsest
         operator that is not positive definite, or an overflow.
     IllPosedCoefficientError
@@ -730,10 +735,16 @@ def solve_dirichlet(system: LinearSystem, rtol: float = 1e-10,
     if info == _REJECTED:
         return None
     res = float(np.linalg.norm(b - K @ x)) / bnorm
-    if info != 0 or res > rtol * 1.01:
+    if info != 0:
         raise SolverFailure(
             f"CG stopped with info={info}, relative residual {res:.3e} "
             f"(target {rtol:.1e})"
+        )
+    if res > rtol * 1.01:
+        raise SolverFailure(
+            f"CG met rtol {rtol:.1e} on its updated residual, but the true "
+            f"relative residual is {res:.3e}: the target is below the "
+            "attainable accuracy"
         )
     u[free] = x
     return u

@@ -20,8 +20,15 @@ decrease (``_backtrack``), in which a trial whose solve raises
 failures of the initial and adjoint solves raise.  A trial's solve
 carries the accepted cost as a ``RejectionBound`` (``_trial_bound``),
 so one that cannot lower it stops after a few CG iterations and is
-rejected as well; the steps taken are those of full solves.  Every
-accepted step strictly decreases the cost and is recorded by
+rejected as well; the steps taken are those of full solves.  The two
+scalar drivers solve only as accurately as their stop needs
+(``_solve_rtol``): the first iteration at rtol = max(tol, 1e-10), each
+later one at 0.01 of the relative change of the last accepted step,
+within [1e-10, max(tol, 1e-10)]; the compliance bound adds the slack
+rtol |b| |u| that keeps an early rejection certified at that rtol.
+The laminate descent and ``gradient_check`` keep their fixed rtol.
+
+Every accepted step strictly decreases the cost and is recorded by
 ``OptReport.accept``; runs stop on the relative change it returns,
 |J_k - J_{k-1}| / |J_0| < tol, after max_iters updates, on a
 projection fixed point (stationarity), or - reported, not raised - on
@@ -40,6 +47,7 @@ import numpy as np
 
 from . import penalty as pen
 from .fem import (
+    _RTOL,
     LinearSystem,
     RejectionBound,
     SolverFailure,
@@ -121,13 +129,15 @@ _T0 = 0.5
 _STEP_CAP = 1.0
 _MAX_TRIALS = 31
 # a trial solve stops once its estimate puts the trial's cost at
-# J + _MARGIN |J| or above.  The margin covers the gap between the
-# energy bound and the cost of the converged solve, |x.r| <= rtol |b|
-# |x| with rtol solve_dirichlet's default 1e-10, that is rtol |J| times
-# the ratio |b| |x| / |b.x|, and the error of the adjoint estimate,
-# which is not a bound; margins of 1e-10 and 1e-8 give the same
-# outputs on the acceptance-size runs
+# J + _MARGIN |J| or above, plus a compliance trial's slack (see
+# ``_trial_bound``).  The margin is a cushion for rounding and for the
+# error of the adjoint estimate, which is not a bound; margins of 1e-10
+# and 1e-8 give the same outputs on the acceptance-size runs
 _MARGIN = 1e-9
+# the scalar descents solve the next iteration's states to this
+# fraction of the relative change of the last accepted step, within
+# [_RTOL, max(tol, _RTOL)]
+_FORCING = 0.01
 # gradient_check's solve tolerance, tight enough that the central
 # difference measures the cost, not the solver error, and its
 # difference step
@@ -157,10 +167,30 @@ def _solve(K, rhs, **kwargs):
     return solve_dirichlet(system, **kwargs)
 
 
-def _trial_bound(J: float, rest: float, weight=None, adjoint=None):
+def _trial_bound(J: float, rest: float, weight=None, adjoint=None,
+                 slack: float = 0.0):
     """The bound of a trial whose cost is its solve's part plus
-    ``rest``: the solve stops once that part is sure to reach J."""
-    return RejectionBound(J + _MARGIN * abs(J) - rest, weight, adjoint)
+    ``rest``: the solve stops once that part is sure to reach J.
+
+    For the load's own cost b.x the estimate is CG's energy c(x) =
+    b.x + x.r, which never decreases, so every iterate's c(x_k) is at
+    most the converged solve's c(x_f) = b.x_f + x0.r_f (PCG keeps r_f
+    orthogonal to x_f - x0).  With the solve's rtol that term is at
+    most ``slack`` = rtol |b| |x0|, so a solve stopped on the bound is
+    one whose converged cost reaches J, at any rtol.
+    """
+    return RejectionBound(J + _MARGIN * abs(J) - rest + slack,
+                          weight, adjoint)
+
+
+def _solve_rtol(tol: float, ratio: float = np.inf) -> float:
+    """The rtol of a scalar descent's next solves, given the relative
+    change ``ratio`` of its last accepted step (none before the first):
+    _FORCING times it, within [_RTOL, max(tol, _RTOL)], as the forcing
+    terms of inexact Newton methods (Eisenstat and Walker, SISC 17,
+    1996).  A solve is never tighter than _RTOL nor looser than the
+    stop."""
+    return min(max(tol, _RTOL), max(_RTOL, _FORCING * ratio))
 
 
 def _backtrack(trial_at, J: float, step: float):
@@ -249,6 +279,12 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
     step is 0.1 against a direction normalized to the coefficient scale;
     a trial the projection maps back onto the iterate is a projection
     fixed point (stationary on the active set): the run has converged.
+
+    Each iteration's solves, its trials and so its accepted state, run
+    to the rtol of ``_solve_rtol``: max(tol, 1e-10) in the first, then
+    0.01 of the last accepted step's relative change, never looser than
+    the stop nor tighter than 1e-10.  Each trial's bound carries the
+    slack rtol |b| |u| of a solve warm-started from u.
     """
     _check_stop(tol, max_iters)
     asm = StiffnessAssembler(mesh)
@@ -256,11 +292,13 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
     ref = spec.beta if spec.is_box else None
 
     a = _initial_coefficient(mesh, spec, a0)
+    rtol = _solve_rtol(tol)
     # no matrix is kept past its solve
-    u = _solve(asm.assemble(a), load)
+    u = _solve(asm.assemble(a), load, rtol=rtol)
     J = cost_functional(mesh, load, u, a, spec)
     report = OptReport(costs=[J])
     eps = 0.1 * _STEP_CAP
+    load_norm = float(np.linalg.norm(load))
 
     for _ in range(max_iters):
         dirn = -_cost_gradient(spec, a, grad_norm_sq(mesh, u))
@@ -269,14 +307,16 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
             report.converged = True
             break
         scale = (ref if ref is not None else max(1.0, float(a.max()))) / dmax
+        # every trial starts from u: rtol |b| |x0| bounds its x0.r
+        slack = rtol * load_norm * float(np.linalg.norm(u))
 
         def trial_at(step):
             trial = pen.project_to_domain(spec, a + step * scale * dirn)
             if np.array_equal(trial, a):
                 return None
             psi = penalty_cost(mesh, trial, spec)
-            u_t = _solve(asm.assemble(trial), load, x0=u,
-                         bound=_trial_bound(J, psi))
+            u_t = _solve(asm.assemble(trial), load, x0=u, rtol=rtol,
+                         bound=_trial_bound(J, psi, slack=slack))
             if u_t is None:
                 return np.inf, None
             return float(load @ u_t) + psi, (trial, u_t)
@@ -288,10 +328,12 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
             break
 
         eps, J, (a, u) = hit
-        if report.accept(J, eps) < tol:
+        ratio = report.accept(J, eps)
+        if ratio < tol:
             report.converged = True
             break
         eps = min(2.0 * eps, _STEP_CAP)
+        rtol = _solve_rtol(tol, ratio)
 
     return a, u, report
 
@@ -307,6 +349,12 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     (clipped; cells with a vanishing gradient take t = 0, i.e. the
     stiff phase beta).  Returns (t, a_eff, u, report) with a_eff the
     affine-box recovery from the final gradients.
+
+    The state solves run to the rtol of ``_solve_rtol``, as in
+    ``compliance_descent``: the first two at max(tol, 1e-10), each later
+    one at 0.01 of the relative change of the update before it, within
+    [1e-10, max(tol, 1e-10)].  CG lowers the energy from its warm start,
+    the previous state, so a loose solve does not make the energy rise.
     """
     _check_stop(tol, max_iters)
     spec_eff = pen.PenaltySpec("affine-box", alpha=alpha, beta=beta,
@@ -315,18 +363,19 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     load = assemble_load(mesh, f)
     nu_star_num = np.sqrt(gamma * alpha * beta)
 
-    def state(t, u0):
+    def state(t, u0, rtol):
         # the state of fraction t, its |grad u|^2 and the energy; the
         # matrix is not kept past its solve
         mu, nu = lamination_means(t, alpha, beta)
-        u = _solve(asm.assemble(nu), load, x0=u0)
+        u = _solve(asm.assemble(nu), load, x0=u0, rtol=rtol)
         gsq = grad_norm_sq(mesh, u)
         J = 0.5 * float((mesh.cell_areas * nu) @ gsq) - float(load @ u) \
             + 0.5 * gamma * float(mesh.cell_areas @ (beta - mu))
         return u, gsq, J
 
     t = np.full(mesh.n_cells, _T0)
-    u, gsq, J = state(t, None)
+    rtol = _solve_rtol(tol)
+    u, gsq, J = state(t, None, rtol)
     report = OptReport(costs=[J])
     for _ in range(max_iters):
         # a vanishing gradient: nu = inf, clipped to beta, so t = 0
@@ -337,10 +386,12 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
             report.converged = True
             break
         t = t_new
-        u, gsq, J = state(t, u)
-        if report.accept(J, 1.0) < tol:
+        u, gsq, J = state(t, u, rtol)
+        ratio = report.accept(J, 1.0)
+        if ratio < tol:
             report.converged = True
             break
+        rtol = _solve_rtol(tol, ratio)
 
     a_eff = pen.recover_coefficient(spec_eff, gsq)
     return t, a_eff, u, report

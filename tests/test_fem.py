@@ -248,6 +248,30 @@ def test_solver_failure_on_unreachable_tolerance():
         fresh_solve(m, np.ones(m.n_cells), 1.0, rtol=1e-300)
 
 
+@pytest.mark.parametrize("n, rtol", [(32, 1e-14), (4, 1e-300)])
+def test_solver_failure_names_the_unattainable_true_residual(n, rtol):
+    # CG's updated residual meets rtol, but the true one stays above
+    # 1.01 rtol: rounding, not a run-out
+    m = build_unit_square_mesh(n)
+    with pytest.raises(SolverFailure, match="met rtol .* on its updated "
+                       "residual, but the true relative residual is "):
+        fresh_solve(m, np.ones(m.n_cells), 1.0, rtol=rtol)
+
+
+def test_solver_failure_reports_a_run_out(monkeypatch):
+    import coeffopt.fem as fem
+    real = fem.cg
+
+    def one_iteration(*args, **kwargs):
+        return real(*args, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(fem, "cg", one_iteration)
+    m = build_unit_square_mesh(32)
+    with pytest.raises(SolverFailure, match="CG stopped with info=1, "
+                       "relative residual"):
+        fresh_solve(m, np.ones(m.n_cells), 1.0)
+
+
 def test_linear_system_rejects_nonfinite_rhs():
     # the record takes any load; the solve checks it on every vertex,
     # a Dirichlet one too

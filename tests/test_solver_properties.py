@@ -212,3 +212,38 @@ def test_cg_energy_rises_to_the_solution_energy(case, start, level):
         assert bound.value <= top + slack
     else:
         assert np.array_equal(y, x)
+
+
+@SETTINGS
+@given(st.tuples(st.sampled_from(MESHES), st.integers(0, 2**32 - 1),
+                 st.just(False)),
+       st.floats(-10.0, -3.0), st.floats(0.0, 1.5), st.floats(-3.0, 3.0))
+def test_energy_slack_certifies_rejections_at_any_rtol(case, log_rtol, start,
+                                                       level):
+    # with x_f the converged solve from x0, every iterate's energy is at
+    # most b.x_f + x0.r_f <= b.x_f + rtol |b| |x0|: a bound raised by
+    # that slack stops no solve whose converged cost lies below it
+    m, asm, K, b = system_for(case)
+    A, M = K, asm.preconditioner(K)
+    b = b[asm.free]
+    rtol = 10.0 ** log_rtol
+    x0 = start * np.random.default_rng(case[1]).uniform(
+        0.0, 1.0, b.size) * spla.spsolve(A.tocsc(), b)
+    energies = []
+
+    def energy(x):
+        energies.append(2.0 * (b @ x) - x @ (A @ x))
+
+    energy(x0)
+    x, info = fem.cg(A, b, x0=x0, rtol=rtol, maxiter=1000, M=M,
+                     callback=energy)
+    assert info == 0
+    cost = b @ x
+    slack = rtol * np.linalg.norm(b) * np.linalg.norm(x0)
+    rounding = 1e-12 * abs(cost)
+    assert max(energies) <= cost + slack + rounding
+    value = cost * (1.0 + level * rtol)
+    bound = fem.RejectionBound(value + slack + rounding)
+    y, info = fem.cg(A, b, x0=x0, rtol=rtol, maxiter=1000, M=M, bound=bound)
+    if cost < value:
+        assert info == 0 and np.array_equal(y, x)
