@@ -368,15 +368,27 @@ class LinearSystem:
 class RejectionBound(NamedTuple):
     """Stop a solve once its solution's cost is known to reach ``value``.
 
-    The cost is w.u for the solution u of K u = b.  With no ``weight``,
-    w is the load b itself and CG's energy 2 b.x - x.K x, which never
-    decreases along the iterates and never exceeds b.u, is the
-    estimate: reaching ``value`` proves b.u does too (Strakos and
-    Tichy, ETNA 13, 2002).  Given the cost weight w and an ``adjoint``
-    p, the solution of K' p = w for a matrix K' near K, the estimate is
-    w.x + p.(b - K x): exact for K' = K, close otherwise, and not a
-    bound (Becker and Rannacher, Acta Numerica 10, 2001), so the caller
-    leaves a margin.  Both vectors have the load's length.
+    ``value`` is the cost to beat: a line-search trial passes the
+    accepted cost less the part of the trial's cost that needs no
+    solve.  The cost is w.u for the solution u of K u = b, and ``cg``
+    alone turns ``value`` into its stopping limit, in three parts:
+
+    * the cost to beat, ``value``;
+    * the margin ``_MARGIN`` |value|, a cushion for rounding and for
+      the error of the adjoint estimate;
+    * with no ``weight``, the energy slack rtol |b| |x0|.  Then w is
+      the load b itself and the estimate is CG's energy 2 b.x - x.K x,
+      which never decreases along the iterates and ends at b.x_f +
+      x0.r_f for the converged x_f, since PCG keeps r_f orthogonal to
+      x_f - x0 (Strakos and Tichy, ETNA 13, 2002); |x0.r_f| is at
+      most rtol |b| |x0|, so a stop is certified at any rtol: the
+      converged solve's cost reaches ``value`` as well.
+
+    Given the cost weight w and an ``adjoint`` p, the solution of
+    K' p = w for a matrix K' near K, the estimate is w.x + p.(b - K x):
+    exact for K' = K, close otherwise, and not a bound (Becker and
+    Rannacher, Acta Numerica 10, 2001), so the margin alone covers it.
+    Both vectors have the load's length.
     """
 
     value: float
@@ -597,6 +609,10 @@ def _transfer(A: sp.csr_matrix):
 
 # cg's info when the solve stopped on its rejection bound
 _REJECTED = -1
+# a bound's margin, relative to its value (see ``RejectionBound``);
+# margins of 1e-10 and 1e-8 give the same outputs on the
+# acceptance-size runs
+_MARGIN = 1e-9
 # solve_dirichlet's default relative residual; the scalar descents
 # never solve tighter than this
 _RTOL = 1e-10
@@ -613,9 +629,11 @@ def cg(A, b, x0=None, *, rtol, maxiter, M, callback=None, bound=None):
 
     Given a ``RejectionBound`` on A's unknowns, each iteration first
     tests the convergence, then the bound: (x, ``_REJECTED``) once the
-    estimate reaches ``bound.value``.  The energy c(x) = b.x + x.r
-    costs two dot products at the start and none after, since it grows
-    by alpha rho per step; the adjoint estimate w.x + p.r costs two per
+    estimate reaches bound.value + ``_MARGIN`` |bound.value|, plus
+    rtol |b| |x0| for the energy, the early-stop contract that
+    ``RejectionBound`` states.  The energy c(x) = b.x + x.r costs two
+    dot products at the start and none after, since it grows by
+    alpha rho per step; the adjoint estimate w.x + p.r costs two per
     iteration.
     """
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
@@ -625,8 +643,11 @@ def cg(A, b, x0=None, *, rtol, maxiter, M, callback=None, bound=None):
     atol = rtol * float(bnorm)
     r = b - A @ x if x.any() else b.copy()
     energy = None
-    if bound is not None and bound.weight is None:
-        energy = np.dot(b, x) + np.dot(x, r)
+    if bound is not None:
+        limit = bound.value + _MARGIN * abs(bound.value)
+        if bound.weight is None:
+            energy = np.dot(b, x) + np.dot(x, r)
+            limit += atol * np.linalg.norm(x)
     rho_prev, p = None, None
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
@@ -634,7 +655,7 @@ def cg(A, b, x0=None, *, rtol, maxiter, M, callback=None, bound=None):
         if bound is not None:
             estimate = energy if energy is not None else (
                 np.dot(bound.weight, x) + np.dot(bound.adjoint, r))
-            if estimate >= bound.value:
+            if estimate >= limit:
                 return x, _REJECTED
         z = M(r)
         rho = np.dot(r, z)

@@ -18,15 +18,13 @@ Both descents step by one backtracking line search with simple
 decrease (``_backtrack``), in which a trial whose solve raises
 ``SolverFailure`` or whose cost is not finite is a rejected step;
 failures of the initial and adjoint solves raise.  A trial's solve
-carries the accepted cost as a ``RejectionBound`` (``_trial_bound``),
-so one that cannot lower it stops after a few CG iterations and is
-rejected as well; the steps taken are those of full solves.  The two
-scalar drivers solve only as accurately as their stop needs
-(``_solve_rtol``): the first iteration at rtol = max(tol, 1e-10), each
-later one at 0.01 of the relative change of the last accepted step,
-within [1e-10, max(tol, 1e-10)]; the compliance bound adds the slack
-rtol |b| |u| that keeps an early rejection certified at that rtol.
-The laminate descent and ``gradient_check`` keep their fixed rtol.
+carries the accepted cost less the trial's solve-free part as a
+``RejectionBound``, so one that cannot lower the cost stops after a
+few CG iterations and is rejected as well; ``RejectionBound`` states
+why such a stop is certified, and the steps taken are those of full
+solves.  The two scalar drivers solve only as accurately as their
+stop needs (``_solve_rtol``); the laminate descent and
+``gradient_check`` keep their fixed rtol.
 
 Every accepted step strictly decreases the cost and is recorded by
 ``OptReport.accept``; runs stop on the relative change it returns,
@@ -128,15 +126,9 @@ _T0 = 0.5
 # the line search's largest step multiplier and its trial budget
 _STEP_CAP = 1.0
 _MAX_TRIALS = 31
-# a trial solve stops once its estimate puts the trial's cost at
-# J + _MARGIN |J| or above, plus a compliance trial's slack (see
-# ``_trial_bound``).  The margin is a cushion for rounding and for the
-# error of the adjoint estimate, which is not a bound; margins of 1e-10
-# and 1e-8 give the same outputs on the acceptance-size runs
-_MARGIN = 1e-9
 # the scalar descents solve the next iteration's states to this
-# fraction of the relative change of the last accepted step, within
-# [_RTOL, max(tol, _RTOL)]
+# fraction of the relative change of the last accepted step, capped at
+# 1, within [_RTOL, max(tol, _RTOL)]
 _FORCING = 0.01
 # gradient_check's solve tolerance, tight enough that the central
 # difference measures the cost, not the solver error, and its
@@ -167,30 +159,14 @@ def _solve(K, rhs, **kwargs):
     return solve_dirichlet(system, **kwargs)
 
 
-def _trial_bound(J: float, rest: float, weight=None, adjoint=None,
-                 slack: float = 0.0):
-    """The bound of a trial whose cost is its solve's part plus
-    ``rest``: the solve stops once that part is sure to reach J.
-
-    For the load's own cost b.x the estimate is CG's energy c(x) =
-    b.x + x.r, which never decreases, so every iterate's c(x_k) is at
-    most the converged solve's c(x_f) = b.x_f + x0.r_f (PCG keeps r_f
-    orthogonal to x_f - x0).  With the solve's rtol that term is at
-    most ``slack`` = rtol |b| |x0|, so a solve stopped on the bound is
-    one whose converged cost reaches J, at any rtol.
-    """
-    return RejectionBound(J + _MARGIN * abs(J) - rest + slack,
-                          weight, adjoint)
-
-
 def _solve_rtol(tol: float, ratio: float = np.inf) -> float:
     """The rtol of a scalar descent's next solves, given the relative
     change ``ratio`` of its last accepted step (none before the first):
-    _FORCING times it, within [_RTOL, max(tol, _RTOL)], as the forcing
-    terms of inexact Newton methods (Eisenstat and Walker, SISC 17,
-    1996).  A solve is never tighter than _RTOL nor looser than the
-    stop."""
-    return min(max(tol, _RTOL), max(_RTOL, _FORCING * ratio))
+    _FORCING times it, the ratio capped at 1, within [_RTOL, max(tol,
+    _RTOL)], as the forcing terms of inexact Newton methods (Eisenstat
+    and Walker, SISC 17, 1996).  A solve is never tighter than _RTOL
+    nor looser than the stop or _FORCING."""
+    return min(max(tol, _RTOL), max(_RTOL, _FORCING * min(ratio, 1.0)))
 
 
 def _backtrack(trial_at, J: float, step: float):
@@ -281,10 +257,10 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
     fixed point (stationary on the active set): the run has converged.
 
     Each iteration's solves, its trials and so its accepted state, run
-    to the rtol of ``_solve_rtol``: max(tol, 1e-10) in the first, then
-    0.01 of the last accepted step's relative change, never looser than
-    the stop nor tighter than 1e-10.  Each trial's bound carries the
-    slack rtol |b| |u| of a solve warm-started from u.
+    to the rtol of ``_solve_rtol``: min(max(tol, 1e-10), 0.01) in the
+    first, then 0.01 of the last accepted step's relative change, never
+    looser than the first nor tighter than 1e-10.  A trial's bound is
+    the accepted cost less the trial's penalty (see ``RejectionBound``).
     """
     _check_stop(tol, max_iters)
     asm = StiffnessAssembler(mesh)
@@ -298,7 +274,6 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
     J = cost_functional(mesh, load, u, a, spec)
     report = OptReport(costs=[J])
     eps = 0.1 * _STEP_CAP
-    load_norm = float(np.linalg.norm(load))
 
     for _ in range(max_iters):
         dirn = -_cost_gradient(spec, a, grad_norm_sq(mesh, u))
@@ -307,8 +282,6 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
             report.converged = True
             break
         scale = (ref if ref is not None else max(1.0, float(a.max()))) / dmax
-        # every trial starts from u: rtol |b| |x0| bounds its x0.r
-        slack = rtol * load_norm * float(np.linalg.norm(u))
 
         def trial_at(step):
             trial = pen.project_to_domain(spec, a + step * scale * dirn)
@@ -316,7 +289,7 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
                 return None
             psi = penalty_cost(mesh, trial, spec)
             u_t = _solve(asm.assemble(trial), load, x0=u, rtol=rtol,
-                         bound=_trial_bound(J, psi, slack=slack))
+                         bound=RejectionBound(J - psi))
             if u_t is None:
                 return np.inf, None
             return float(load @ u_t) + psi, (trial, u_t)
@@ -351,10 +324,11 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     affine-box recovery from the final gradients.
 
     The state solves run to the rtol of ``_solve_rtol``, as in
-    ``compliance_descent``: the first two at max(tol, 1e-10), each later
-    one at 0.01 of the relative change of the update before it, within
-    [1e-10, max(tol, 1e-10)].  CG lowers the energy from its warm start,
-    the previous state, so a loose solve does not make the energy rise.
+    ``compliance_descent``: the first two at min(max(tol, 1e-10), 0.01),
+    each later one at 0.01 of the relative change of the update before
+    it, within [1e-10, min(max(tol, 1e-10), 0.01)].  CG lowers the
+    energy from its warm start, the previous state, so a loose solve
+    does not make the energy rise.
     """
     _check_stop(tol, max_iters)
     spec_eff = pen.PenaltySpec("affine-box", alpha=alpha, beta=beta,
@@ -490,7 +464,8 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
             K_t = asm.assemble(a_new)
             rest = mass(mu_n)
             goal = () if self_adjoint else (w, p)
-            u_t = _solve(K_t, load, x0=u, bound=_trial_bound(J, rest, *goal))
+            u_t = _solve(K_t, load, x0=u,
+                         bound=RejectionBound(J - rest, *goal))
             if u_t is None:
                 return np.inf, None
             return float(w @ u_t) + rest, (t_new, a_new, mu_n, nu_n, u_t, K_t)
