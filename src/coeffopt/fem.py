@@ -1,9 +1,9 @@
 """P1 finite elements for -div(a grad u) = f with zero Dirichlet data.
 
 States are continuous piecewise-linear (one value per vertex), controls
-piecewise-constant (one value per cell).  Scalar coefficients are
-assembled through the same isotropic-tensor path as matrix coefficients,
-so the two agree bit for bit when the matrix is a*I.
+piecewise-constant (one value per cell).  The stiffness values are
+sparse per-mesh operators applied to the coefficient, and a scalar
+coefficient a and its tensor a*I give the same matrix bit for bit.
 
 Solver
 ------
@@ -18,17 +18,17 @@ loop, scipy's operation for operation, so it can also stop early on a
 reach the accepted one is rejected after a few iterations instead of
 being solved to ``rtol`` (``solve_dirichlet`` returns None).  A
 ``StiffnessAssembler`` is the one per-mesh solver state, and the only
-state kept across solves: the free-dof pattern, the slot of every
-local entry in it, the aggregation transfers and the V-cycle's coarse
-levels live on it.  The first coarse build aggregates on the way down,
-each level from the Galerkin operator just formed and kept for the
-V-cycle, so every operator is formed once; later rebuilds reuse those
-transfers.  A solve builds the V-cycle's finest level (its smoother
-weights) from its matrix and frees it on return.  Each matrix the
-assembler builds carries it and a read-only copy of the coefficient it
-was assembled from, and ``solve_dirichlet`` takes the Dirichlet mask
-from there; a matrix built any other way, or paired with another mask,
-raises ``ValueError``.
+state kept across solves: the free-dof pattern, the operators that
+map a coefficient to the matrix's values in it, the aggregation
+transfers and the V-cycle's coarse levels live on it.  The first
+coarse build aggregates on the way down, each level from the Galerkin
+operator just formed and kept for the V-cycle, so every operator is
+formed once; later rebuilds reuse those transfers.  A solve builds the
+V-cycle's finest level (its smoother weights) from its matrix and frees
+it on return.  Each matrix the assembler builds carries it and a
+read-only copy of the coefficient it was assembled from, and
+``solve_dirichlet`` takes the Dirichlet mask from there; a matrix built
+any other way, or paired with another mask, raises ``ValueError``.
 
 The coarse levels - the Galerkin operators below the finest level,
 their smoother weights and the coarsest inverse - are kept with the
@@ -54,6 +54,7 @@ cell tensor field  (n_cells, 3) float array, columns (a11, a12, a22)
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -133,31 +134,26 @@ def _tensor_parts(mesh: Mesh, coeff):
     )
 
 
-# local (i, j) pairs of a cell's 3x3 matrix: the six upper entries, then
-# the three mirrored ones, which reuse the upper values
-_LOCAL_I = np.array([0, 1, 2, 0, 0, 1, 1, 2, 2])
-_LOCAL_J = np.array([0, 1, 2, 1, 2, 2, 0, 0, 1])
-# the six upper entries grouped by first vertex i: (i, ((j, column), ...))
-_UPPER_BY_FIRST = tuple(
-    (i, tuple((int(_LOCAL_J[k]), k) for k in range(6) if _LOCAL_I[k] == i))
-    for i in range(3)
-)
-# cells per block of the local-entry kernel: its work vectors fit in cache
-_CELL_BLOCK = 4096
+def _outer(x, y):
+    """Per cell, the 3x3 products x_i y_j of two (n_cells, 3) fields."""
+    return x[:, :, None] * y[:, None, :]
 
 
 class StiffnessAssembler:
     """Per-mesh assembly and Dirichlet-solver state.
 
-    The free-dof sparsity pattern and the slot of every local entry in
-    it depend only on the mesh, so they are computed once; ``free``
-    lists the free vertices in the order of the matrix's rows.  Entries
-    in a Dirichlet row or column all go to one extra slot, which is
-    dropped: each assembly eliminates the Dirichlet data as it sums.
-    Repeated assemblies (every optimizer iteration) reduce to the six
-    upper local entries per cell and one deterministic scatter; each
-    entry lands in both of its slots, so the matrix is symmetric bit
-    for bit.
+    ``free`` lists the free vertices in the order of the matrix's rows.
+    The stiffness values are linear in the coefficient: a per-mesh
+    operator S, one row per slot of the free-dof pattern and one column
+    per cell, holds area g_i.g_j for each local entry (i, j) of a cell
+    in a free row and column, and a scalar coefficient a gives the
+    values S a (Cuvelier, Japhet and Scarella, BIT 56, 2016).  A tensor,
+    m I + [[d, a12], [a12, -d]] with m, d = (a11 +- a22) / 2, gives
+    S m + (S_d d + S_12 a12); S_d and S_12 are built on the first one.
+    For a*I, m = a and d = a12 = 0 exactly, so a scalar and its
+    isotropic tensor give the same matrix bit for bit.  Each operator
+    row sums its cells in cell order, so both slots of an entry sum the
+    same products and the matrix is symmetric bit for bit.
 
     What persists across solves lives here and nowhere else: the
     aggregation transfers, built with the first coarse levels and
@@ -177,34 +173,42 @@ class StiffnessAssembler:
         n = int(np.count_nonzero(free))
         # vertices by free index, every Dirichlet vertex as n
         tri = np.where(free, np.cumsum(free) - 1, n)[mesh.triangles]
-        # slot of every local entry: its rank among the distinct
-        # (row, col) keys, which sort in CSR order; an entry in a
-        # Dirichlet row or column takes the largest key, (n, n), so they
-        # all share the one last slot, nnz, which assemble drops
-        keys = tri[:, _LOCAL_I] * (n + 1)
-        keys += tri[:, _LOCAL_J]
+        # the (row, col) key of local entry (i, j) of cell c, at 9 c + 3 i
+        # + j; in a Dirichlet row or column, the largest key, (n, n)
+        keys = tri[:, :, None] * (n + 1) + tri[:, None, :]
         dirichlet = tri == n
-        keys[dirichlet[:, _LOCAL_I] | dirichlet[:, _LOCAL_J]] = n * (n + 2)
+        keys[dirichlet[:, :, None] | dirichlet[:, None, :]] = n * (n + 2)
         del tri, dirichlet
         keys = keys.ravel()
-        order = np.argsort(keys)
-        keys = keys[order]
+        # the entries in the CSR order of their keys, each key's cells in
+        # cell order (a stable sort), less the Dirichlet ones at the end
+        entries = np.argsort(keys, kind="stable")
+        keys.sort()
+        cut = np.searchsorted(keys, n * (n + 2))
+        entries, keys = entries[:cut], keys[:cut]
         first = np.empty(keys.size, dtype=bool)
-        first[0] = True
+        first[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        pattern = keys[first]
-        del keys
-        self._slots = np.empty(order.size, dtype=np.int32)
-        self._slots[order] = np.cumsum(first, dtype=np.int32) - 1
-        del order, first
-        pattern = pattern[pattern < n * (n + 1)]
+        starts = np.flatnonzero(first)
+        pattern = keys[starts]
+        del keys, first
         self.free = np.flatnonzero(free)
-        counts = np.bincount(pattern // (n + 1), minlength=n)
         # every matrix shares this pattern
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self._indptr = np.searchsorted(
+            pattern, np.arange(n + 1) * (n + 1)).astype(np.int32)
         self._indices = (pattern % (n + 1)).astype(np.int32)
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
+        # the operators' structure: each slot's first entry, and each
+        # entry's cell and local (i, j) as 3 i + j
+        self._starts = np.append(starts, cut).astype(np.int32)
+        self._cells = (entries // 9).astype(np.int32)
+        self._local = (entries % 9).astype(np.uint8)
+        del entries, starts
+        gx, gy = np.moveaxis(mesh.cell_basis_gradients, 2, 0)
+        form = _outer(gx, gx)
+        form += _outer(gy, gy)
+        self._operator = self._with_structure(form)
         self._transfers = None  # (P, R) per level, from the first build
         # the V-cycle's coarse levels, ([(Galerkin operator, smoother
         # weights) per level >= 1], coarsest inverse), and the
@@ -212,50 +216,43 @@ class StiffnessAssembler:
         self._coarse = None
         self._reference = None
 
+    def _with_structure(self, form):
+        """The operator of the assembler's structure whose entry for a
+        cell's local (i, j) is the cell's area times ``form``, an
+        (n_cells, 3, 3) array it overwrites."""
+        form *= self.mesh.cell_areas[:, None, None]
+        flat = self._cells.astype(np.intp)
+        flat *= 9
+        flat += self._local
+        return sp.csr_matrix((form.ravel()[flat], self._cells, self._starts),
+                             shape=(self._indices.size, self.mesh.n_cells))
+
+    @functools.cached_property
+    def _tensor_operators(self):
+        """(S_d, S_12), built on the first tensor coefficient, so scalar
+        runs never hold them."""
+        gx, gy = np.moveaxis(self.mesh.cell_basis_gradients, 2, 0)
+        S_d = _outer(gx, gx)
+        S_d -= _outer(gy, gy)
+        S_12 = _outer(gx, gy)
+        S_12 += _outer(gy, gx)
+        return self._with_structure(S_d), self._with_structure(S_12)
+
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Stiffness matrix on the free (non-Dirichlet) vertices, in the
         order of ``free``, carrying this assembler as its ``assembler``
         attribute for ``solve_dirichlet`` and a read-only copy of the
         coefficient, in the shape given, as ``coefficient``."""
-        mesh = self.mesh
         # a copy, so the caller may reuse its array; a constant not widened
         coeff = np.array(coeff, dtype=float)
         coeff.setflags(write=False)
-        parts = _tensor_parts(mesh, coeff)
-        g = mesh.cell_basis_gradients
-        nt = mesh.n_cells
-        loc = np.empty((nt, 9))
-        # entry (i, j) is area (a g_i) . g_j.  The upper entries are
-        # grouped by their first vertex so the flux a g_i is formed once
-        # per i, and only one flux is alive at a time.  Each entry keeps
-        # the order ((a11 gx_i + a12 gy_i) gx_j + (a12 gx_i + a22 gy_i)
-        # gy_j) area: reassociating it changes the last bits of the
-        # matrix and so every iterate downstream.  Cells go in blocks so
-        # the four work vectors stay in cache and off the heap's peak.
-        work = np.empty((4, min(nt, _CELL_BLOCK)))
-        for start in range(0, nt, _CELL_BLOCK):
-            cells = slice(start, start + _CELL_BLOCK)
-            gc, areas = g[cells], mesh.cell_areas[cells]
-            a11, a12, a22 = (p[cells] if np.ndim(p) else p for p in parts)
-            fx, fy, entry, prod = work[:, :areas.size]
-            for i, pairs in _UPPER_BY_FIRST:
-                gx, gy = gc[:, i, 0], gc[:, i, 1]
-                np.multiply(a11, gx, out=fx)
-                fx += np.multiply(a12, gy, out=prod)
-                np.multiply(a12, gx, out=fy)
-                fy += np.multiply(a22, gy, out=prod)
-                for j, k in pairs:
-                    np.multiply(fx, gc[:, j, 0], out=entry)
-                    entry += np.multiply(fy, gc[:, j, 1], out=prod)
-                    entry *= areas
-                    loc[cells, k] = entry
-            loc[cells, 6:] = loc[cells, 3:6]
-        # cell-major order: both slots of an entry sum the same values in
-        # the same order
-        nnz = self._indices.size
-        vals = np.bincount(self._slots, weights=loc.ravel(),
-                           minlength=nnz + 1)[:nnz]
-        del loc
+        a11, a12, a22 = _tensor_parts(self.mesh, coeff)
+        if np.ndim(a12) == 0:  # a scalar field: a12 is 0.0
+            vals = self._operator @ a11
+        else:
+            S_d, S_12 = self._tensor_operators
+            vals = (self._operator @ ((a11 + a22) * 0.5)
+                    + (S_d @ ((a11 - a22) * 0.5) + S_12 @ a12))
         n = self.free.size
         K = sp.csr_matrix((vals, self._indices, self._indptr), shape=(n, n))
         K.assembler = self

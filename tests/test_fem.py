@@ -57,30 +57,39 @@ def test_assembly_matches_hand_loop():
     assert np.allclose(K, hand_assembled(m, a)[free][:, free], atol=1e-14)
 
 
-# local (i, j) pairs of a cell: six upper entries, then the mirrored ones
-_LOCAL_I = [0, 1, 2, 0, 0, 1, 1, 2, 2]
-_LOCAL_J = [0, 1, 2, 1, 2, 2, 0, 0, 1]
+# local (i, j) pairs of a cell's 3x3 matrix
+_LOCAL_I = [0, 0, 0, 1, 1, 1, 2, 2, 2]
+_LOCAL_J = [0, 1, 2, 0, 1, 2, 0, 1, 2]
 
 
 def reference_stiffness(mesh, cols):
-    """CSR (indptr, indices, data), one local entry expression at a time.
+    """CSR (indptr, indices, data) of the full stiffness, one part of the
+    coefficient at a time.
 
-    The entries are scattered in cell-major order, as the assembler does,
-    so the sums and hence the bits must agree.
+    The tensor is m I + [[d, a12], [a12, -d]], m and d = (a11 +- a22)
+    / 2.  Each part's local entries area form(g_i, g_j) coefficient are
+    scattered on their own in cell-major order and the parts are added
+    as S m + (S_d d + S_12 a12), as the assembler does, so the sums and
+    hence the bits must agree.
     """
     nv = mesh.n_vertices
     g = mesh.cell_basis_gradients
     a11, a12, a22 = cols[:, 0], cols[:, 1], cols[:, 2]
-    loc = np.empty((mesh.n_cells, 9))
-    for k, (i, j) in enumerate(zip(_LOCAL_I[:6], _LOCAL_J[:6])):
-        gi, gj = g[:, i], g[:, j]
-        loc[:, k] = ((a11 * gi[:, 0] + a12 * gi[:, 1]) * gj[:, 0]
-                     + (a12 * gi[:, 0] + a22 * gi[:, 1]) * gj[:, 1])
-    loc[:, :6] *= mesh.cell_areas[:, None]
-    loc[:, 6:] = loc[:, 3:6]
     keys = (mesh.triangles[:, _LOCAL_I] * nv + mesh.triangles[:, _LOCAL_J])
     pattern, slots = np.unique(keys.ravel(), return_inverse=True)
-    data = np.bincount(slots.ravel(), weights=loc.ravel())
+
+    def part(form, coeff):
+        loc = np.column_stack([
+            mesh.cell_areas * form(g[:, i], g[:, j]) * coeff
+            for i, j in zip(_LOCAL_I, _LOCAL_J)])
+        return np.bincount(slots.ravel(), weights=loc.ravel())
+
+    data = (part(lambda gi, gj: gi[:, 0] * gj[:, 0] + gi[:, 1] * gj[:, 1],
+                 (a11 + a22) * 0.5)
+            + (part(lambda gi, gj: gi[:, 0] * gj[:, 0] - gi[:, 1] * gj[:, 1],
+                    (a11 - a22) * 0.5)
+               + part(lambda gi, gj: gi[:, 0] * gj[:, 1] + gi[:, 1] * gj[:, 0],
+                      a12)))
     indptr = np.searchsorted(pattern // nv, np.arange(nv + 1))
     return indptr, pattern % nv, data
 
@@ -310,14 +319,20 @@ def test_compliance_matches_quadratic_form():
 
 
 def test_assembler_reuse_bitwise():
+    # the tensor assembly between the two scalar ones builds the tensor
+    # operators, which change no scalar result
     m = build_unit_square_mesh(4)
     asm = StiffnessAssembler(m)
     a = np.linspace(1.0, 2.0, m.n_cells)
+    spd = random_spd_columns(np.random.default_rng(7), m.n_cells)
     K1 = asm.assemble(a)
+    T = asm.assemble(spd)
     K2 = asm.assemble(a)
     K3 = StiffnessAssembler(m).assemble(a)
-    assert (K1 != K2).nnz == 0
-    assert (K1 != K3).nnz == 0
+    assert K1.data.tobytes() == K2.data.tobytes()
+    assert K1.data.tobytes() == K3.data.tobytes()
+    fresh = StiffnessAssembler(m).assemble(spd)
+    assert T.data.tobytes() == fresh.data.tobytes()
 
 
 def test_matrix_carries_a_read_only_copy_of_its_coefficient():

@@ -98,6 +98,18 @@ def test_reduced_matrix_is_the_free_block(case):
 
 
 @SETTINGS
+@given(cases, st.integers(-20, 20))
+def test_assembly_commutes_with_powers_of_two(case, k):
+    # scaling by 2**k is exact in every product and sum of the assembly
+    (kind, size), seed, tensor = case
+    m, asm = mesh_and_assembler(kind, size)
+    a = random_coefficient(m, seed, tensor)
+    scale = 2.0 ** k
+    scaled = asm.assemble(scale * a).data
+    assert scaled.tobytes() == (scale * asm.assemble(a).data).tobytes()
+
+
+@SETTINGS
 @given(cases)
 def test_multigrid_cg_matches_direct_solve(case):
     m, asm, K, b = system_for(case)
