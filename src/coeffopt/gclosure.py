@@ -12,6 +12,14 @@ witness from that interval (its midpoint, or an end on the boundary of
 the set) against the inequalities, with tol bounding their violation,
 and takes a stack of spectra in one call.
 
+The pointwise kernels of the laminate update (``lamination_means``,
+``optimal_t``, ``optimal_laminate`` and ``clamp_spectrum``) run over
+consecutive blocks of ``_BLOCK`` cells into one preallocated output, so
+their temporaries stay in cache on a large stack.  Each cell's
+arithmetic keeps its order, so the result equals that of one pass over
+the whole stack bit for bit; inputs are validated once, before any
+block.
+
 Tensor storage convention matches fem: (a11, a12, a22) columns.
 """
 
@@ -36,11 +44,37 @@ _NORM_FLOOR = np.sqrt(np.finfo(float).tiny)
 # (antiparallel) in ``optimal_laminate``
 ALIGNMENT_TOL = 1e-9
 
+# cells per block of the pointwise kernels: a block's temporaries stay
+# in cache, where whole-stack ones would stream through memory
+_BLOCK = 8192
+
 
 def _check_phases(alpha: float, beta: float):
     if not (0.0 < alpha < beta < np.inf):
         raise ValueError(f"phases must satisfy 0 < alpha < beta, got "
                          f"({alpha}, {beta})")
+
+
+def _by_blocks(kernel, out, *args):
+    """Fill out with kernel(out_block, *arg_blocks), _BLOCK cells at a time.
+
+    out and each argument come as (array, k) pairs: the cell axis is the
+    one before the last k (component) axes.  An argument with no cell
+    axis, or one of length 1, broadcasts and goes whole to every block;
+    so does everything when out is a single cell.  The kernels are
+    elementwise, so each cell's result is that of one whole-stack call
+    bit for bit.
+    """
+    out_arr, k = out
+    if out_arr.ndim == k:
+        kernel(out_arr, *(a for a, _ in args))
+        return out_arr
+    for start in range(0, out_arr.shape[-1 - k], _BLOCK):
+        cells = slice(start, start + _BLOCK)
+        kernel(out_arr[(..., cells) + (slice(None),) * k],
+               *(a if a.ndim <= j or a.shape[-1 - j] == 1
+                 else a[(..., cells) + (slice(None),) * j] for a, j in args))
+    return out_arr
 
 
 def lamination_means(t, alpha: float, beta: float):
@@ -55,9 +89,14 @@ def lamination_means(t, alpha: float, beta: float):
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("volume fraction t must lie in [0, 1]")
-    mu = t * alpha + (1.0 - t) * beta
-    nu = np.minimum(alpha * beta / (t * beta + (1.0 - t) * alpha), mu)
-    if mu.ndim == 0:
+
+    def block(out, t):
+        mu = t * alpha + (1.0 - t) * beta
+        out[0] = mu
+        out[1] = np.minimum(alpha * beta / (t * beta + (1.0 - t) * alpha), mu)
+
+    mu, nu = _by_blocks(block, (np.empty((2,) + t.shape), 0), (t, 0))
+    if t.ndim == 0:
         return float(mu), float(nu)
     return mu, nu
 
@@ -93,30 +132,27 @@ def d2_lambda2_bounds(lam1: float, alpha: float, beta: float):
     return lo, hi
 
 
-def _violation(lams: np.ndarray, t, alpha: float, beta: float):
+def _violation(t, alpha: float, beta: float, d: int, s_a, s_b, lam_min,
+               lam_max):
     """Max constraint violation of the d+2 system at fractions t.
 
-    lams holds one spectrum (d,) or a stack (..., d) along its last
-    axis; t broadcasts against the leading shape.  Decreasing-in-t
-    constraints (the alpha trace bound, nu_t <= lam_min) and increasing
-    ones (the beta trace bound, lam_max <= mu_t) are both folded into
-    one envelope, which is therefore quasiconvex in t.
+    s_a = sum 1/(lam_i - alpha), s_b = sum 1/(beta - lam_i), lam_min and
+    lam_max describe one spectrum or a stack of them; t broadcasts
+    against their shape.  Decreasing-in-t constraints (the alpha trace
+    bound, nu_t <= lam_min) and increasing ones (the beta trace bound,
+    lam_max <= mu_t) are both folded into one envelope, which is
+    therefore quasiconvex in t.  Near t = 0 and t = 1 the closed forms
+    divide by zero: callers choose the errstate.
     """
-    d = lams.shape[-1]
     s = beta - alpha
     ts = t * s
-    with np.errstate(divide="ignore", over="ignore"):
-        s_a = np.add.reduce(1.0 / (lams - alpha), axis=-1)
-        s_b = np.add.reduce(1.0 / (beta - lams), axis=-1)
-        # 1/(nu_t - alpha) + (d-1)/(mu_t - alpha) and the same at beta,
-        # in closed form: nu_t - alpha computed from nu_t cancels near
-        # t = 1
-        r_a = (d + ts / alpha) / (s * (1.0 - t))
-        r_b = (alpha / beta + d - 1 + ts / beta) / ts
+    # 1/(nu_t - alpha) + (d-1)/(mu_t - alpha) and the same at beta, in
+    # closed form: nu_t - alpha computed from nu_t cancels near t = 1
+    r_a = (d + ts / alpha) / (s * (1.0 - t))
+    r_b = (alpha / beta + d - 1 + ts / beta) / ts
     v = np.maximum(s_a - r_a, s_b - r_b)
-    v = np.maximum(v, alpha * beta / (alpha + ts)
-                   - np.minimum.reduce(lams, axis=-1))
-    return np.maximum(v, np.maximum.reduce(lams, axis=-1) - (beta - ts))
+    v = np.maximum(v, alpha * beta / (alpha + ts) - lam_min)
+    return np.maximum(v, lam_max - (beta - ts))
 
 
 def is_admissible(eigs, alpha: float, beta: float, tol: float = 1e-9):
@@ -174,7 +210,8 @@ def is_admissible(eigs, alpha: float, beta: float, tol: float = 1e-9):
     lams = np.minimum(np.maximum(lams, alpha), beta)
     lo, hi = lams[..., 0][()], lams[..., -1][()]
     # spectra touching a phase value give inf/NaN here; the pure-phase
-    # rule below replaces them
+    # rule below replaces them.  The sums and extremes serve both the
+    # interval and the violation at its three candidates
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s_a = np.add.reduce(1.0 / (lams - alpha), axis=-1)
         s_b = np.add.reduce(1.0 / (beta - lams), axis=-1)
@@ -188,7 +225,7 @@ def is_admissible(eigs, alpha: float, beta: float, tol: float = 1e-9):
                          t_lo + 4.0 * np.spacing(t_lo),
                          t_hi - 4.0 * np.spacing(t_hi)])
         cand = np.minimum(np.maximum(cand, 0.0), 1.0)
-        v = _violation(lams, cand, alpha, beta)
+        v = _violation(cand, alpha, beta, d, s_a, s_b, lo, hi)
     t = np.where(v[0] <= tol, cand[0],
                  np.where(v[1] <= v[2], cand[1], cand[2]))
     edge = (lo <= alpha) | (hi >= beta)
@@ -229,14 +266,18 @@ def clamp_spectrum(tcols: np.ndarray, lo, hi):
     hi = np.asarray(hi, dtype=float)
     if not np.all(lo <= hi):
         raise ValueError("clamp bounds must satisfy lo <= hi")
-    lam1, lam2, c, s = eig_sym_2x2(tcols)
-    l1 = np.clip(lam1, lo, hi)
-    l2 = np.clip(lam2, lo, hi)
-    out = np.empty_like(tcols)
-    out[..., 0] = l2 * c * c + l1 * s * s
-    out[..., 1] = (l2 - l1) * c * s
-    out[..., 2] = l2 * s * s + l1 * c * c
-    return out
+
+    def block(out, tcols, lo, hi):
+        lam1, lam2, c, s = eig_sym_2x2(tcols)
+        l1 = np.clip(lam1, lo, hi)
+        l2 = np.clip(lam2, lo, hi)
+        out[..., 0] = l2 * c * c + l1 * s * s
+        out[..., 1] = (l2 - l1) * c * s
+        out[..., 2] = l2 * s * s + l1 * c * c
+
+    out = np.empty(np.broadcast_shapes(tcols.shape[:-1], lo.shape, hi.shape)
+                   + (3,))
+    return _by_blocks(block, (out, 1), (tcols, 1), (lo, 0), (hi, 0))
 
 
 def optimal_laminate(grad_u, grad_p, mu, nu):
@@ -262,27 +303,35 @@ def optimal_laminate(grad_u, grad_p, mu, nu):
     gp = np.asarray(grad_p, dtype=float)
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    nu_norm = np.linalg.norm(gu, axis=-1)
-    np_norm = np.linalg.norm(gp, axis=-1)
-    ok = (nu_norm >= _NORM_FLOOR) & (np_norm >= _NORM_FLOOR)
-    w1 = np.where(ok[..., None], gu / np.where(ok, nu_norm, 1.0)[..., None],
-                  0.0)
-    w2 = np.where(ok[..., None], gp / np.where(ok, np_norm, 1.0)[..., None],
-                  0.0)
-    c = (w1 * w2).sum(axis=-1)
-    generic = ok & (np.abs(c) < 1.0 - ALIGNMENT_TOL)
-    # parallel: mu I; antiparallel or vanishing: nu I
-    iso = np.where(ok & (c > 0.0), mu, nu)
 
-    bis = w1 + w2
-    bn = np.linalg.norm(bis, axis=-1)
-    axis = bis / np.where(generic, bn, 1.0)[..., None]
-    ex, ey = axis[..., 0], axis[..., 1]
-    out = np.empty(np.broadcast_shapes(mu.shape, nu.shape, ok.shape) + (3,))
-    out[..., 0] = np.where(generic, mu * ex * ex + nu * ey * ey, iso)
-    out[..., 1] = np.where(generic, (mu - nu) * ex * ey, 0.0)
-    out[..., 2] = np.where(generic, mu * ey * ey + nu * ex * ex, iso)
-    return out
+    def block(out, gu, gp, mu, nu):
+        ux, uy, px, py = gu[..., 0], gu[..., 1], gp[..., 0], gp[..., 1]
+        norm_u = np.sqrt(ux * ux + uy * uy)
+        norm_p = np.sqrt(px * px + py * py)
+        ok = (norm_u >= _NORM_FLOOR) & (norm_p >= _NORM_FLOOR)
+        den_u = np.where(ok, norm_u, 1.0)
+        den_p = np.where(ok, norm_p, 1.0)
+        w1x, w1y = np.where(ok, ux / den_u, 0.0), np.where(ok, uy / den_u, 0.0)
+        w2x, w2y = np.where(ok, px / den_p, 0.0), np.where(ok, py / den_p, 0.0)
+        c = w1x * w2x + w1y * w2y
+        generic = ok & (np.abs(c) < 1.0 - ALIGNMENT_TOL)
+        bx, by = w1x + w2x, w1y + w2y
+        den_b = np.where(generic, np.sqrt(bx * bx + by * by), 1.0)
+        ex, ey = bx / den_b, by / den_b
+        out[..., 0] = mu * ex * ex + nu * ey * ey
+        out[..., 1] = (mu - nu) * ex * ey
+        out[..., 2] = mu * ey * ey + nu * ex * ex
+        # parallel: mu I; antiparallel or vanishing: nu I
+        flat = ~generic
+        parallel = flat & ok & (c > 0.0)
+        for col in (out[..., 0], out[..., 2]):
+            np.copyto(col, nu, where=flat)
+            np.copyto(col, mu, where=parallel)
+        np.copyto(out[..., 1], 0.0, where=flat)
+
+    out = np.empty(np.broadcast_shapes(mu.shape, nu.shape, gu.shape[:-1],
+                                       gp.shape[:-1]) + (3,))
+    return _by_blocks(block, (out, 1), (gu, 1), (gp, 1), (mu, 0), (nu, 0))
 
 
 def optimal_t(n_plus, n_minus, g, alpha: float, beta: float):
@@ -308,13 +357,20 @@ def optimal_t(n_plus, n_minus, g, alpha: float, beta: float):
         raise ValueError("N+ and N- must be nonnegative")
     if np.isnan(g).any():
         raise ValueError("g must not be NaN")
-    n_plus = np.maximum(n_plus, 0.0)
-    n_minus = np.maximum(n_minus, 0.0)
-    b_lo = n_plus - (beta / alpha) * n_minus
-    b_hi = n_plus - (alpha / beta) * n_minus
-    denom = n_plus - g
+
+    def block(out, n_plus, n_minus, g):
+        n_plus = np.maximum(n_plus, 0.0)
+        n_minus = np.maximum(n_minus, 0.0)
+        b_lo = n_plus - (beta / alpha) * n_minus
+        b_hi = n_plus - (alpha / beta) * n_minus
+        denom = n_plus - g
+        mid = (np.sqrt(alpha * beta * n_minus / denom) - alpha) \
+            / (beta - alpha)
+        mid = np.where(denom > 0.0, mid, 1.0)
+        out[...] = np.where(g < b_lo, 0.0,
+                            np.where(g > b_hi, 1.0, np.clip(mid, 0.0, 1.0)))
+
+    out = np.empty(np.broadcast_shapes(n_plus.shape, n_minus.shape, g.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        mid = (np.sqrt(alpha * beta * n_minus / denom) - alpha) / (beta - alpha)
-    mid = np.where(denom > 0.0, mid, 1.0)
-    t = np.where(g < b_lo, 0.0, np.where(g > b_hi, 1.0, np.clip(mid, 0.0, 1.0)))
+        t = _by_blocks(block, (out, 0), (n_plus, 0), (n_minus, 0), (g, 0))
     return float(t) if t.ndim == 0 else t

@@ -44,6 +44,15 @@ def spectra(draw, d):
     return np.array(lams), alpha, beta
 
 
+def violation(lams, t, alpha, beta):
+    """``_violation`` of spectra lams (..., d) at fractions t, with the
+    sums written out here."""
+    s_a = (1.0 / (lams - alpha)).sum(axis=-1)
+    s_b = (1.0 / (beta - lams)).sum(axis=-1)
+    return _violation(t, alpha, beta, lams.shape[-1], s_a, s_b,
+                      lams.min(axis=-1), lams.max(axis=-1))
+
+
 def tensor_cols(lam1, lam2, theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([lam2 * c * c + lam1 * s * s, (lam2 - lam1) * c * s,
@@ -68,7 +77,9 @@ def test_witness_satisfies_system(case):
         assert 0.0 <= t <= 1.0
         lam = np.clip(np.sort(lams), alpha, beta)
         if alpha < lam[0] and lam[-1] < beta:
-            assert _violation(lam, t, alpha, beta) <= TOL
+            # t = 1 or 0 divides by zero in the closed forms
+            with np.errstate(divide="ignore", over="ignore"):
+                assert violation(lam, t, alpha, beta) <= TOL
         else:  # a pure phase
             assert (t, lam.min(), lam.max()) in ((1.0, alpha, alpha),
                                                  (0.0, beta, beta))
@@ -114,7 +125,7 @@ def scan_min(lams, alpha, beta):
     for _ in range(3):
         grid = np.linspace(lo, hi, 1001)
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = _violation(lams, grid, alpha, beta)
+            v = violation(lams, grid, alpha, beta)
         k = int(np.argmin(v))
         lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
     return float(v[k])
