@@ -135,6 +135,17 @@ def test_is_admissible_validates():
     assert np.isnan(t[1]) and t[2] == 1.0
 
 
+def test_is_admissible_validates_tol():
+    # a NaN tol used to read every spectrum as inadmissible
+    for tol in (-1e-9, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            is_admissible((1.4, 1.45), A, B, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            is_admissible([(1.4, 1.45)], A, B, tol=tol)
+    assert is_admissible((1.0, 1.0), A, B, tol=0.0) == (True, 1.0)
+    assert is_admissible((1.4, 1.45), A, B, tol=np.float64(1e-9))[0]
+
+
 def test_eig_sym_2x2():
     t = tensor(2.0, 0.0, 1.0)
     lam1, lam2, c, s = eig_sym_2x2(t)

@@ -2,11 +2,12 @@
 
 ``optimal_t``, ``lamination_means``, ``optimal_laminate`` and
 ``clamp_spectrum`` run over blocks of ``_BLOCK`` cells.  The references
-below are the whole-stack kernels they replaced, kept verbatim: every
-output must equal theirs byte for byte, on stacks that end inside, at
-and just past a block boundary, and on the edge rows each kernel
-branches on.  The blocks also bound the kernels' temporaries, which the
-memory test measures.
+below are the same kernels in one whole-stack pass: every output must
+equal theirs byte for byte, on stacks that end inside, at and just past
+a block boundary, and on the edge rows each kernel branches on.  The
+blocks also bound the kernels' temporaries, which the memory test
+measures.  The clamp's deviator formula is also checked against the
+eigenvector formula it replaced, to rounding.
 """
 
 import tracemalloc
@@ -17,6 +18,7 @@ import pytest
 from coeffopt.gclosure import (
     _BLOCK,
     _NORM_FLOOR,
+    _TINY,
     ALIGNMENT_TOL,
     _check_phases,
     clamp_spectrum,
@@ -48,14 +50,30 @@ def ref_clamp_spectrum(tcols: np.ndarray, lo, hi):
     hi = np.asarray(hi, dtype=float)
     if not np.all(lo <= hi):
         raise ValueError("clamp bounds must satisfy lo <= hi")
+    a11, a12, a22 = tcols[..., 0], tcols[..., 1], tcols[..., 2]
+    m = 0.5 * (a11 + a22)
+    dd = 0.5 * (a11 - a22)
+    r = np.hypot(dd, a12)
+    l1 = np.clip(m - r, lo, hi)
+    l2 = np.clip(m + r, lo, hi)
+    q = (l2 - l1) / np.maximum(2.0 * r, _TINY)
+    m = 0.5 * (l1 + l2)
+    out = np.empty(np.broadcast_shapes(tcols.shape[:-1], lo.shape, hi.shape)
+                   + (3,))
+    out[..., 0] = m + q * dd
+    out[..., 1] = q * a12
+    out[..., 2] = m - q * dd
+    return out
+
+
+def eigvec_clamp_spectrum(tcols, lo, hi):
+    """The clamp as it was first written: clip the eigenvalues of
+    ``eig_sym_2x2`` and rebuild the tensor on its eigenvectors."""
     lam1, lam2, c, s = eig_sym_2x2(tcols)
     l1 = np.clip(lam1, lo, hi)
     l2 = np.clip(lam2, lo, hi)
-    out = np.empty_like(tcols)
-    out[..., 0] = l2 * c * c + l1 * s * s
-    out[..., 1] = (l2 - l1) * c * s
-    out[..., 2] = l2 * s * s + l1 * c * c
-    return out
+    return np.stack([l2 * c * c + l1 * s * s, (l2 - l1) * c * s,
+                     l2 * s * s + l1 * c * c], axis=-1)
 
 
 def ref_optimal_laminate(grad_u, grad_p, mu, nu):
@@ -207,3 +225,35 @@ def test_temporaries_stay_within_blocks():
         finally:
             tracemalloc.stop()
         assert peak < 2 * out.nbytes, (kernel.__name__, peak / out.nbytes)
+
+
+def test_clamp_matches_eigenvector_formula():
+    rng = np.random.default_rng(5)
+    n = 2000
+    a11, a22 = rng.uniform(0.5, 2.5, size=(2, n))
+    a12 = rng.normal(scale=0.5, size=n)
+    a12[::7] = 0.0  # r = 0 where a11 = a22 as well
+    a22[::7] = a11[::7]
+    a12[1::7], a12[2::7] = 0.0, -0.0  # +-0 off the diagonal, a11 < a22
+    a11[1::7], a22[1::7] = 1.2, 1.9
+    a11[2::7], a22[2::7] = 1.2, 1.9
+    a22[3::7] = a11[3::7] + 1e-13  # r far below the scale of m
+    tensors = np.stack([a11, a12, a22], axis=-1)
+    lo = rng.uniform(0.8, 1.4, n)
+    hi = lo + rng.uniform(0.0, 1.0, n)
+    hi[::5] = lo[::5]  # a box of one point
+    for scale in (1.0, 1e150, 1e-150):
+        t, lo_s, hi_s = scale * tensors, scale * lo, scale * hi
+        got = clamp_spectrum(t, lo_s, hi_s)
+        ref = eigvec_clamp_spectrum(t, lo_s, hi_s)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - ref).max() <= 1e-14 * scale
+        # a single tensor, against scalar bounds
+        one = clamp_spectrum(t[4], lo_s[4], hi_s[4])
+        assert one.shape == (3,)
+        assert np.abs(one - ref[4]).max() <= 1e-14 * scale
+    # an isotropic tensor stays isotropic, whatever the box
+    for lo_k, hi_k in ((0.5, 0.8), (1.0, 3.0), (2.0, 2.0)):
+        out = clamp_spectrum([1.5, 0.0, 1.5], lo_k, hi_k)
+        b = min(max(1.5, lo_k), hi_k)
+        assert out.tolist() == [b, 0.0, b]

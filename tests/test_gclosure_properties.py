@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coeffopt.gclosure import (
-    _violation,
     clamp_spectrum,
     d2_lambda2_bounds,
     eig_sym_2x2,
@@ -45,12 +44,19 @@ def spectra(draw, d):
 
 
 def violation(lams, t, alpha, beta):
-    """``_violation`` of spectra lams (..., d) at fractions t, with the
-    sums written out here."""
+    """Max violation of the d+2 system for spectra lams (..., d) at
+    fractions t, written out here: the trace sums, then the envelope of
+    the four constraints in the closed forms ``is_admissible`` uses."""
+    d = lams.shape[-1]
+    s = beta - alpha
     s_a = (1.0 / (lams - alpha)).sum(axis=-1)
     s_b = (1.0 / (beta - lams)).sum(axis=-1)
-    return _violation(t, alpha, beta, lams.shape[-1], s_a, s_b,
-                      lams.min(axis=-1), lams.max(axis=-1))
+    ts = t * s
+    r_a = (d + ts / alpha) / (s * (1.0 - t))
+    r_b = (alpha / beta + d - 1 + ts / beta) / ts
+    v = np.maximum(s_a - r_a, s_b - r_b)
+    v = np.maximum(v, alpha * beta / (alpha + ts) - lams.min(axis=-1))
+    return np.maximum(v, lams.max(axis=-1) - (beta - ts))
 
 
 def tensor_cols(lam1, lam2, theta):
