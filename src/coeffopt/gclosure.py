@@ -294,7 +294,11 @@ def eig_sym_2x2(tcols: np.ndarray):
     """Eigen-decomposition of symmetric 2x2 tensors in column storage.
 
     Returns (lam1, lam2, cos, sin) with lam1 <= lam2 and (cos, sin) the
-    unit eigenvector of lam2.
+    unit eigenvector of lam2 at the angle 0.5 arctan2(a12, dd), dd =
+    (a11 - a22) / 2, built without trigonometry: with r = hypot(dd, a12)
+    and p = |dd| + r, it is (p, a12) normalized where dd >= 0 and
+    (|a12|, sign(a12) p) where dd < 0, so no sum cancels.  An isotropic
+    tensor (r = 0) gives (1, 0).
     """
     tcols = np.asarray(tcols, dtype=float)
     a11, a12, a22 = tcols[..., 0], tcols[..., 1], tcols[..., 2]
@@ -302,8 +306,12 @@ def eig_sym_2x2(tcols: np.ndarray):
     dd = 0.5 * (a11 - a22)
     r = np.hypot(dd, a12)
     lam1, lam2 = m - r, m + r
-    theta = 0.5 * np.arctan2(2.0 * a12, a11 - a22)
-    return lam1, lam2, np.cos(theta), np.sin(theta)
+    p = np.where(r == 0.0, 1.0, np.abs(dd) + r)
+    norm = np.hypot(p, a12)
+    flip = dd < 0.0
+    c = np.where(flip, np.abs(a12), p)
+    s = np.where(flip, np.copysign(p, a12), a12)
+    return lam1, lam2, c / norm, s / norm
 
 
 def clamp_spectrum(tcols: np.ndarray, lo, hi):

@@ -22,9 +22,11 @@ carries the accepted cost less the trial's solve-free part as a
 ``RejectionBound``, so one that cannot lower the cost stops after a
 few CG iterations and is rejected as well; ``RejectionBound`` states
 why such a stop is certified, and the steps taken are those of full
-solves.  The two scalar drivers solve only as accurately as their
-stop needs (``_solve_rtol``); the laminate descent and
-``gradient_check`` keep their fixed rtol.
+solves.  The two scalar drivers evaluate their costs as energies, whose
+error is quadratic in the solve error (the compliance b.u as 2 b.u -
+u.K u), so they solve only to about the square root of the accuracy
+their stop needs (``_solve_rtol``); the laminate descent and
+``gradient_check`` keep their fixed rtol and report b.u.
 
 Every accepted step strictly decreases the cost and is recorded by
 ``OptReport.accept``; runs stop on the relative change it returns,
@@ -38,6 +40,7 @@ start from the fraction t = ``_T0`` of alpha in every cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -126,9 +129,9 @@ _T0 = 0.5
 # the line search's largest step multiplier and its trial budget
 _STEP_CAP = 1.0
 _MAX_TRIALS = 31
-# the scalar descents solve the next iteration's states to this
-# fraction of the relative change of the last accepted step, capped at
-# 1, within [_RTOL, max(tol, _RTOL)]
+# the scalar descents solve the next iteration's states to the square
+# root of this fraction of the relative change of the last accepted
+# step, capped at 1, within [_RTOL, sqrt(max(tol, _RTOL))]
 _FORCING = 0.01
 # gradient_check's solve tolerance, tight enough that the central
 # difference measures the cost, not the solver error, and its
@@ -162,11 +165,28 @@ def _solve(K, rhs, **kwargs):
 def _solve_rtol(tol: float, ratio: float = np.inf) -> float:
     """The rtol of a scalar descent's next solves, given the relative
     change ``ratio`` of its last accepted step (none before the first):
-    _FORCING times it, the ratio capped at 1, within [_RTOL, max(tol,
-    _RTOL)], as the forcing terms of inexact Newton methods (Eisenstat
-    and Walker, SISC 17, 1996).  A solve is never tighter than _RTOL
-    nor looser than the stop or _FORCING."""
-    return min(max(tol, _RTOL), max(_RTOL, _FORCING * min(ratio, 1.0)))
+    sqrt(_FORCING r), r the ratio capped at 1, within [_RTOL,
+    sqrt(max(tol, _RTOL))], the square roots of the forcing terms of
+    inexact Newton methods (Eisenstat and Walker, SISC 17, 1996).
+
+    Both scalar costs are energies, whose error at a CG iterate u_h is
+    quadratic in the solve's: E(u_h) = 2 b.u_h - u_h.K u_h misses b.u by
+    |u_h - u|_K^2, and 1/2 u_h.K u_h - b.u_h misses its minimum by half
+    that.  So a solve to rtol resolves a relative cost change of about
+    rtol^2, and the square root of the rule for b.u_h (first order in
+    the solve error) suffices.  A solve is never tighter than _RTOL nor
+    looser than sqrt(max(tol, _RTOL)) or sqrt(_FORCING)."""
+    return min(math.sqrt(max(tol, _RTOL)),
+               max(_RTOL, math.sqrt(_FORCING * min(ratio, 1.0))))
+
+
+def _energy(K, load: np.ndarray, u: np.ndarray) -> float:
+    """E(u) = 2 b.x - x.K x on K's free dofs, x and b the free entries
+    of u and the load: b.u* less |u - u*|_K^2 for the exact state u*,
+    the energy CG raises towards b.u* (see ``fem.cg``)."""
+    free = K.assembler.free
+    x = u[free]
+    return 2.0 * float(load[free] @ x) - float(x @ (K @ x))
 
 
 def _backtrack(trial_at, J: float, step: float):
@@ -256,22 +276,42 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
     a trial the projection maps back onto the iterate is a projection
     fixed point (stationary on the active set): the run has converged.
 
-    Each iteration's solves, its trials and so its accepted state, run
-    to the rtol of ``_solve_rtol``: min(max(tol, 1e-10), 0.01) in the
-    first, then 0.01 of the last accepted step's relative change, never
+    Every state's cost is the energy form E(u) + int psi(a), E(u) = 2
+    b.u - u.K u on the free dofs (``_energy``): at a CG iterate it
+    misses the exact b.u by |e|_K^2, e the solve error, where b.u
+    misses it by a first-order term.  So each iteration's solves, its
+    trials and so its accepted state, run to the rtol of
+    ``_solve_rtol``: min(sqrt(max(tol, 1e-10)), 0.1) in the first, then
+    sqrt(0.01 r), r the last accepted step's relative change, never
     looser than the first nor tighter than 1e-10.  A trial's bound is
-    the accepted cost less the trial's penalty (see ``RejectionBound``).
+    the accepted cost less the trial's penalty (see ``RejectionBound``):
+    CG's energy rises monotonically to E of its last iterate, so a
+    stopped trial would have been rejected.  A run that stops on a
+    projection fixed point, a vanishing direction or a stalled line
+    search re-solves its final state once at 1e-10 and reports that
+    cost; one that stops on the ratio test or after max_iters adds no
+    solve.
     """
     _check_stop(tol, max_iters)
     asm = StiffnessAssembler(mesh)
     load = assemble_load(mesh, f)
     ref = spec.beta if spec.is_box else None
 
+    def state(coeff, rtol, x0=None, J=None):
+        # (E(u) + int psi, u) for the state u of coeff, or (inf, None)
+        # when the solve stops on the bound of an accepted cost J; the
+        # matrix is not kept past its energy
+        psi = penalty_cost(mesh, coeff, spec)
+        K = asm.assemble(coeff)
+        bound = None if J is None else RejectionBound(J - psi)
+        u_c = _solve(K, load, x0=x0, rtol=rtol, bound=bound)
+        if u_c is None:
+            return np.inf, None
+        return _energy(K, load, u_c) + psi, u_c
+
     a = _initial_coefficient(mesh, spec, a0)
     rtol = _solve_rtol(tol)
-    # no matrix is kept past its solve
-    u = _solve(asm.assemble(a), load, rtol=rtol)
-    J = cost_functional(mesh, load, u, a, spec)
+    J, u = state(a, rtol)
     report = OptReport(costs=[J])
     eps = 0.1 * _STEP_CAP
 
@@ -287,12 +327,8 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
             trial = pen.project_to_domain(spec, a + step * scale * dirn)
             if np.array_equal(trial, a):
                 return None
-            psi = penalty_cost(mesh, trial, spec)
-            u_t = _solve(asm.assemble(trial), load, x0=u, rtol=rtol,
-                         bound=RejectionBound(J - psi))
-            if u_t is None:
-                return np.inf, None
-            return float(load @ u_t) + psi, (trial, u_t)
+            J_t, u_t = state(trial, rtol, x0=u, J=J)
+            return J_t, None if u_t is None else (trial, u_t)
 
         hit, moved = _backtrack(trial_at, J, eps)
         if hit is None:
@@ -304,10 +340,15 @@ def compliance_descent(mesh: Mesh, f, spec: pen.PenaltySpec, *,
         ratio = report.accept(J, eps)
         if ratio < tol:
             report.converged = True
-            break
+            return a, u, report
         eps = min(2.0 * eps, _STEP_CAP)
         rtol = _solve_rtol(tol, ratio)
+    else:
+        return a, u, report
 
+    # a stop off the ratio test reports its state solved at the floor
+    if rtol > _RTOL:
+        report.costs[-1], u = state(a, _RTOL, x0=u)
     return a, u, report
 
 
@@ -323,12 +364,14 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     stiff phase beta).  Returns (t, a_eff, u, report) with a_eff the
     affine-box recovery from the final gradients.
 
-    The state solves run to the rtol of ``_solve_rtol``, as in
-    ``compliance_descent``: the first two at min(max(tol, 1e-10), 0.01),
-    each later one at 0.01 of the relative change of the update before
-    it, within [1e-10, min(max(tol, 1e-10), 0.01)].  CG lowers the
-    energy from its warm start, the previous state, so a loose solve
-    does not make the energy rise.
+    The cost is an energy already: at a CG iterate, 1/2 u.K u - b.u
+    exceeds its minimum by 1/2 |e|_K^2, quadratic in the solve error e.
+    So the state solves run to the rtol of ``_solve_rtol``, as in
+    ``compliance_descent``: the first two at min(sqrt(max(tol, 1e-10)),
+    0.1), each later one at sqrt(0.01 r), r the relative change of the
+    update before it, within [1e-10, min(sqrt(max(tol, 1e-10)), 0.1)].
+    CG lowers the energy from its warm start, the previous state, so a
+    loose solve does not make the energy rise.
     """
     _check_stop(tol, max_iters)
     spec_eff = pen.PenaltySpec("affine-box", alpha=alpha, beta=beta,

@@ -654,7 +654,7 @@ def _descend_to_subnormal(monkeypatch):
     spec = PenaltySpec("linear-box", alpha=1e-310, beta=2.0, gamma=0.01141)
     rep = compliance_descent(build_unit_square_mesh(32), 1.0, spec)[2]
     assert rep.converged and not rep.stagnated
-    assert rep.iterations == 35
+    assert rep.iterations == 37
 
 
 @pytest.mark.parametrize("case", [_solve_subnormal, _descend_to_subnormal])

@@ -232,6 +232,28 @@ def test_optimal_laminate_zero_gradient():
     assert np.allclose(out[0], [1.6, 0.0, 1.6], atol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_eig_sym_2x2_eigenvector_matches_the_half_angle(scale):
+    # (cos, sin) is built without trigonometry; it is the vector at
+    # 0.5 arctan2(2 a12, a11 - a22), also where r = 0 (then (1, 0)) and
+    # where a12 = +-0 with a11 < a22 (then (0, +-1))
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=(2000, 3))
+    t[:6] = [[1.0, 0.0, 1.0], [1.0, -0.0, 1.0], [1.0, 0.0, 2.0],
+             [1.0, -0.0, 2.0], [2.0, 0.0, 1.0], [1.0, 1e-20, 2.0]]
+    t *= scale
+    lam1, lam2, c, s = eig_sym_2x2(t)
+    theta = 0.5 * np.arctan2(2.0 * t[:, 1], t[:, 0] - t[:, 2])
+    assert np.abs(c - np.cos(theta)).max() <= 1e-15
+    assert np.abs(s - np.sin(theta)).max() <= 1e-15
+    assert (c[0], s[0]) == (1.0, 0.0) and (c[1], s[1]) == (1.0, 0.0)
+    assert (c[2], s[2]) == (0.0, 1.0) and (c[3], s[3]) == (0.0, -1.0)
+    # the eigenvalues are m -+ hypot(dd, a12), bit for bit
+    m, dd = 0.5 * (t[:, 0] + t[:, 2]), 0.5 * (t[:, 0] - t[:, 2])
+    r = np.hypot(dd, t[:, 1])
+    assert np.array_equal(lam1, m - r) and np.array_equal(lam2, m + r)
+
+
 def test_optimal_laminate_generic_bisector():
     gu = np.array([[1.0, 0.0]])
     gp = np.array([[0.0, 1.0]])

@@ -420,20 +420,18 @@ def test_failed_initial_solve_raises(monkeypatch, run):
         run()
 
 
-def _fail_warm_state_solves(monkeypatch):
-    """Make every warm-started solve of the descent's own load raise:
-    every line-search trial fails, while the initial solve (cold) and
-    the adjoint solves (another load) run."""
+def _fail_trial_solves(monkeypatch):
+    """Make every solve that carries a rejection bound raise: every
+    line-search trial fails, while the initial and final state solves
+    and the adjoint solves (no bound) run."""
     real = optimize.solve_dirichlet
-    loads, failures = [], []
+    failures = []
 
-    def solve(system, x0=None, **kwargs):
-        if not loads:
-            loads.append(system.rhs)
-        if x0 is not None and system.rhs is loads[0]:
+    def solve(system, bound=None, **kwargs):
+        if bound is not None:
             failures.append(True)
             raise SolverFailure("injected trial failure")
-        return real(system, x0=x0, **kwargs)
+        return real(system, **kwargs)
 
     monkeypatch.setattr(optimize, "solve_dirichlet", solve)
     return failures
@@ -451,7 +449,7 @@ def _run_tilted():
 @pytest.mark.parametrize("run, trials", [(_run_compliance, 31),
                                          (_run_tilted, 62)])
 def test_failing_trials_exhaust_the_halving_budget(monkeypatch, run, trials):
-    failures = _fail_warm_state_solves(monkeypatch)
+    failures = _fail_trial_solves(monkeypatch)
     rep = run()
     assert len(failures) == trials
     assert rep.stagnated and not rep.converged
@@ -562,7 +560,7 @@ def test_stalled_run_solves_each_adjoint_once(monkeypatch):
     # every trial fails, so the run stops on its first line search; its
     # adjoint was solved right after the initial state, with that
     # state's matrix, and is not solved again
-    failures = _fail_warm_state_solves(monkeypatch)
+    failures = _fail_trial_solves(monkeypatch)
     log = _SolverLog(monkeypatch)
     rep = _run_tilted()
     assert rep.stagnated and rep.iterations == 0
@@ -587,10 +585,11 @@ def _rejecting_laminate(epsilon):
     return general_relaxed_optimize(m, 1.0, weight, 0.23539 ** 2, 1.0, 2.0)
 
 
-# compliance-loose: a stop of 1e-4, so trials solve to rtol up to 1e-4
-# and rest on the energy slack that cg adds (see ``RejectionBound``)
+# compliance-loose: a stop of 1e-5, so trials solve to rtol up to
+# sqrt(1e-5) = 3.2e-3 and rest on the energy slack that cg adds (see
+# ``RejectionBound``)
 @pytest.mark.parametrize("run", [_rejecting_compliance,
-                                 partial(_rejecting_compliance, tol=1e-4),
+                                 partial(_rejecting_compliance, tol=1e-5),
                                  partial(_rejecting_laminate, 0.0),
                                  partial(_rejecting_laminate, 0.5)],
                          ids=["compliance", "compliance-loose", "isotropic",
@@ -639,24 +638,29 @@ def _record_rtols(monkeypatch):
 @pytest.mark.parametrize("tol", [np.inf, 0.5, 1e-3, 1e-6, 1e-300])
 @pytest.mark.parametrize("driver", ["compliance", "energy"])
 def test_scalar_solves_are_as_tight_as_the_stop(monkeypatch, driver, tol):
-    # the first solve at the stop's own tolerance, but no looser than
-    # 1e-2 (an infinite stop runs too), every later one between the
-    # floor and it; a stop below the floor solves at it
+    # the costs are energies, so the first solve runs at the square root
+    # of the stop's tolerance, but no looser than sqrt(1e-2) (an
+    # infinite stop runs too), every later one between the floor and
+    # it; a stop below the floor solves as a stop at it
     rtols = _record_rtols(monkeypatch)
-    rep = DRIVERS[driver](build_unit_square_mesh(8), tol=tol,
-                          max_iters=30)[-1]
-    floor, top = 1e-10, min(max(tol, 1e-10), 1e-2)
+    run = partial(DRIVERS[driver], build_unit_square_mesh(8), max_iters=30)
+    rep = run(tol=tol)[-1]
+    floor = 1e-10
+    top = min(np.sqrt(max(tol, floor)), np.sqrt(1e-2))
     assert rtols[0] == top
     assert all(floor <= r <= top for r in rtols)
     if tol < floor:
-        assert set(rtols) == {floor}
-    elif tol == top:
+        below = rtols[:]
+        rtols.clear()
+        run(tol=floor)
+        assert below[:len(rtols)] == rtols
+    elif top == np.sqrt(tol):
         assert min(rtols) < top  # the schedule acts within the run
     if driver == "energy":
-        # one state solve per iteration, each at 0.01 of the relative
-        # change of the update before it
+        # one state solve per iteration, each at the square root of 0.01
+        # of the relative change of the update before it
         assert rtols == [top, top] + [
-            min(top, max(floor, 0.01 * min(r, 1.0)))
+            min(top, max(floor, np.sqrt(0.01 * min(r, 1.0))))
             for r in rep.ratios[:-1]]
 
 
@@ -716,3 +720,28 @@ def test_final_energy_is_accurate_to_the_stop(tol):
     J = 0.5 * float((m.cell_areas * nu) @ fem.grad_norm_sq(m, u)) \
         - float(load @ u) + 0.5 * gamma * float(m.cell_areas @ (beta - mu))
     assert abs(rep.costs[-1] - J) < 0.01 * tol * abs(rep.costs[0])
+
+
+def test_off_ratio_stop_reports_its_cost_at_the_floor(monkeypatch):
+    # the affine-box run (custom --penalty affine-box --gamma 0.02 --n
+    # 32) stops on a projection fixed point, whose state was solved
+    # loosely: it re-solves it once at 1e-10 and reports that cost; a
+    # run that stops on the ratio test adds no solve
+    rtols = _record_rtols(monkeypatch)
+    m = build_unit_square_mesh(32)
+    spec = PenaltySpec("affine-box", alpha=1.0, beta=2.0, gamma=0.02)
+    a, u, rep = compliance_descent(m, 1.0, spec)
+    assert rep.converged and rep.ratios[-1] >= optimize._TOL
+    assert rtols[-1] == 1e-10 and rtols.count(1e-10) == 1
+    load = assemble_load(m, 1.0)
+    K = StiffnessAssembler(m).assemble(a)
+    u_tight = solve_dirichlet(LinearSystem(K, load, m.boundary), rtol=1e-11)
+    J = fem.cost_functional(m, load, u_tight, a, spec)
+    assert abs(rep.costs[-1] - J) < 1e-12 * abs(rep.costs[0])
+    assert np.abs(u - u_tight).max() < 1e-8 * np.abs(u_tight).max()
+
+    rtols.clear()
+    rep = compliance_descent(build_unit_disk_mesh(0.1), 1.0,
+                             PenaltySpec("quadratic"))[2]
+    assert rep.converged and rep.ratios[-1] < optimize._TOL
+    assert min(rtols) > 1e-10
