@@ -247,22 +247,12 @@ def build_unit_disk_mesh(h: float) -> Mesh:
     return _finish(vertices, triangles, boundary)
 
 
-# rows of one formatted block of write_vtk: bounds the text held in memory
-_VTK_BLOCK_ROWS = 8192
 # the title line of every file write_vtk writes
 _VTK_TITLE = "coeffopt fields"
 
 
-def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
-    """Write one line per row of a 1-D or 2-D array, formatted by fmt."""
-    for start in range(0, rows.shape[0], _VTK_BLOCK_ROWS):
-        block = rows[start:start + _VTK_BLOCK_ROWS]
-        fh.write(((fmt + "\n") * block.shape[0])
-                 % tuple(block.ravel().tolist()))
-
-
 def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None) -> None:
-    """Write the mesh and named fields as a legacy ASCII VTK file.
+    """Write the mesh and named fields as a binary legacy VTK file.
 
     Parameters
     ----------
@@ -273,43 +263,47 @@ def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None) -> None:
     cell_data : dict[str, array] or None
         Per-cell scalar fields (CELL_DATA section).
 
-    The arrays are formatted column-wise, a block of rows at a time:
-    each block is converted to Python numbers with ``tolist`` and
-    formatted by one ``%`` pattern repeated once per row, so the text in
-    memory at any time is bounded by the block, not by the mesh.  Floats
-    are written as ``%.12e``, the same bytes as formatting each value on
-    its own with ``f"{v:.12e}"``; the output is byte-for-byte
-    reproducible for identical inputs.
+    Raises
+    ------
+    ValueError
+        If a field has the wrong shape, or its name is empty or holds
+        whitespace (a legacy reader splits the SCALARS line on it).
+
+    The file is the legacy format's BINARY variant: text keyword lines,
+    each followed by its values in big-endian binary and one newline.
+    Points (x, y, 0) and fields are float64 (``double``: a binary
+    ``float`` is 4 bytes), cells and cell types int32.  Every value
+    reads back bit for bit, NaN included, and identical inputs give
+    identical bytes.
     """
-    point_data = point_data or {}
-    cell_data = cell_data or {}
     nv, nt = mesh.n_vertices, mesh.n_cells
-    sections = []
-    for kind, fields, size in (("POINT", point_data, nv),
-                               ("CELL", cell_data, nt)):
-        checked = {}
+    points = np.zeros((nv, 3), dtype=">f8")
+    points[:, :2] = mesh.vertices
+    cells = np.full((nt, 4), 3, dtype=">i4")
+    cells[:, 1:] = mesh.triangles
+    blocks = [(f"POINTS {nv} double", points),
+              (f"CELLS {nt} {4 * nt}", cells),
+              (f"CELL_TYPES {nt}", np.full(nt, 5, dtype=">i4"))]  # triangles
+    for kind, fields, size in (("POINT", point_data or {}, nv),
+                               ("CELL", cell_data or {}, nt)):
+        section = f"{kind}_DATA {size}\n"
         for name, values in fields.items():
-            values = np.asarray(values, dtype=float)
+            if not isinstance(name, str) or name.split() != [name]:
+                raise ValueError(f"{kind.lower()} field name {name!r} must "
+                                 "be a nonempty string without whitespace")
+            values = np.asarray(values, dtype=">f8")
             if values.shape != (size,):
                 raise ValueError(
                     f"{kind.lower()} field {name!r} has shape {values.shape}"
                 )
-            checked[name] = values
-        if checked:
-            sections.append((f"{kind}_DATA {size}", checked))
+            blocks.append((f"{section}SCALARS {name} double 1\n"
+                           "LOOKUP_TABLE default", values))
+            section = ""
 
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n"
-                 f"{_VTK_TITLE}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-                 f"POINTS {nv} float\n")
-        _write_rows(fh, "%.12e %.12e 0.0", mesh.vertices)
-        fh.write(f"CELLS {nt} {4 * nt}\n")
-        _write_rows(fh, "3 %d %d %d", mesh.triangles)
-        fh.write(f"CELL_TYPES {nt}\n")
-        for start in range(0, nt, _VTK_BLOCK_ROWS):
-            fh.write("5\n" * min(_VTK_BLOCK_ROWS, nt - start))  # VTK_TRIANGLE
-        for header, fields in sections:
-            fh.write(f"{header}\n")
-            for name, values in fields.items():
-                fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
-                _write_rows(fh, "%.12e", values)
+    with open(path, "wb") as fh:
+        fh.write(f"# vtk DataFile Version 2.0\n{_VTK_TITLE}\nBINARY\n"
+                 "DATASET UNSTRUCTURED_GRID\n".encode())
+        for header, values in blocks:
+            fh.write(f"{header}\n".encode())
+            fh.write(values.tobytes())
+            fh.write(b"\n")

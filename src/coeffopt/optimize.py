@@ -371,7 +371,10 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
     0.1), each later one at sqrt(0.01 r), r the relative change of the
     update before it, within [1e-10, min(sqrt(max(tol, 1e-10)), 0.1)].
     CG lowers the energy from its warm start, the previous state, so a
-    loose solve does not make the energy rise.
+    loose solve does not make the energy rise.  A run that stops on its
+    fixed point (the update leaves t unchanged) re-solves its final
+    state once at 1e-10 and reports that cost, state and a_eff; one
+    that stops on the ratio test or after max_iters adds no solve.
     """
     _check_stop(tol, max_iters)
     spec_eff = pen.PenaltySpec("affine-box", alpha=alpha, beta=beta,
@@ -401,6 +404,9 @@ def energy_relaxed_solve(mesh: Mesh, f, alpha: float, beta: float,
                                            alpha, beta)
         if np.array_equal(t_new, t):
             report.converged = True
+            # a fixed point reports its state solved at the floor
+            if rtol > _RTOL:
+                u, gsq, report.costs[-1] = state(t, u, _RTOL)
             break
         t = t_new
         u, gsq, J = state(t, u, rtol)

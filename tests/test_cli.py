@@ -141,9 +141,9 @@ def test_main_general_summary(tmp_path):
     summary = read_summary(tmp_path / "summary.txt")
     assert 0.0 <= float(summary["mean_t"]) <= 1.0
     assert float(summary["max_eigenvalue_ratio"]) >= 1.0 - 1e-12
-    text = (tmp_path / "mesh_fields.vtk").read_text()
+    data = (tmp_path / "mesh_fields.vtk").read_bytes()
     for name in ("t", "lambda1", "lambda2", "ratio"):
-        assert f"SCALARS {name} float 1" in text
+        assert f"\nSCALARS {name} double 1\n".encode() in data
 
 
 @pytest.mark.parametrize("domain, size", [("disk", "0.2"), ("square", "6")])

@@ -5,25 +5,28 @@ dofs (``optimize._energy``).  For the exact state u*, b.u* - E(v) =
 (v - u*).K(v - u*) >= 0: E never exceeds b.u*, equals it at u*, and its
 error at a CG iterate is the square of the solve error in the energy
 norm.  So a run whose solves are loose still reports its cost to well
-within its stop.
+within its stop.  The same holds for ``energy_relaxed_solve``, whose
+cost 1/2 u.K u - b.u is an energy too; a run of either driver that
+stops off the ratio test re-solves its final state at the floor.
 """
 
 import functools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coeffopt import fem, optimize
+from coeffopt import fem, optimize, penalty
 from coeffopt.fem import (
     LinearSystem,
     StiffnessAssembler,
     assemble_load,
     solve_dirichlet,
 )
+from coeffopt.gclosure import lamination_means
 from coeffopt.mesh import build_unit_disk_mesh, build_unit_square_mesh
-from coeffopt.optimize import compliance_descent
+from coeffopt.optimize import compliance_descent, energy_relaxed_solve
 from coeffopt.penalty import PenaltySpec
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -107,3 +110,42 @@ def test_loose_run_reports_its_cost_to_within_its_stop(case):
     u = tight_state(m, StiffnessAssembler(m).assemble(a), load)
     J = fem.cost_functional(m, load, u, a, spec)
     assert abs(rep.costs[-1] - J) < 0.01 * tol * abs(rep.costs[0])
+
+
+@st.composite
+def loose_energy_runs(draw):
+    """A mesh whose solves take CG steps, gamma and a stop tolerance
+    from 1e-6 to 2."""
+    mesh = draw(st.sampled_from(CG_MESHES + [("disk", 0.05)]))
+    return mesh, draw(st.floats(0.005, 0.05)), \
+        10.0 ** draw(st.floats(-6.0, np.log10(2.0)))
+
+
+@settings(max_examples=20, deadline=None)
+@example((("disk", 0.05), 0.005, 1e-6))  # stops on its fixed point
+@given(loose_energy_runs())
+def test_loose_energy_run_reports_its_cost_to_within_its_stop(case):
+    # a ratio stop reports its cost to within the stop; a fixed point
+    # (t unchanged) re-solves at the floor, so its cost, state and a_eff
+    # are a tight re-solve's up to solver rounding
+    (kind, size), gamma, tol = case
+    m, asm = mesh_and_assembler(kind, size)
+    alpha, beta = 1.0, 2.0
+    t, a_eff, u, rep = energy_relaxed_solve(m, 1.0, alpha, beta, gamma,
+                                            tol=tol, max_iters=30)
+    load = assemble_load(m, 1.0)
+    mu, nu = lamination_means(t, alpha, beta)
+    K = asm.assemble(nu)
+    u_tight = solve_dirichlet(LinearSystem(K, load, m.boundary), rtol=1e-11)
+    gsq = fem.grad_norm_sq(m, u_tight)
+    J = 0.5 * float((m.cell_areas * nu) @ gsq) - float(load @ u_tight) \
+        + 0.5 * gamma * float(m.cell_areas @ (beta - mu))
+    if rep.converged and (not rep.ratios or rep.ratios[-1] >= tol):
+        assert abs(rep.costs[-1] - J) < 1e-12 * abs(rep.costs[0])
+        assert np.abs(u - u_tight).max() < 1e-8 * np.abs(u_tight).max()
+        spec = penalty.PenaltySpec("affine-box", alpha=alpha, beta=beta,
+                                   gamma=gamma)
+        assert np.allclose(a_eff, penalty.recover_coefficient(spec, gsq),
+                           rtol=1e-6, atol=0.0)
+    else:
+        assert abs(rep.costs[-1] - J) < 0.01 * tol * abs(rep.costs[0])

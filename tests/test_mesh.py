@@ -11,6 +11,7 @@ from coeffopt.mesh import (
     cell_geometry,
     write_vtk,
 )
+from legacy_vtk import bits, read_vtk
 
 
 def edge_set(triangles):
@@ -253,19 +254,30 @@ def test_write_vtk_roundtrip(tmp_path):
     m = build_unit_square_mesh(2)
     path = tmp_path / "out.vtk"
     u = np.linspace(0.0, 1.0, m.n_vertices)
+    # a NaN with a payload, a signed zero, infinities and a subnormal
+    u[:6] = [np.uint64(0x7FF8_0000_DEAD_BEEF).view(float), -0.0, np.inf,
+             -np.inf, 5e-324, 0.1]
     a = np.arange(m.n_cells, dtype=float)
     write_vtk(path, m, point_data={"u": u}, cell_data={"a": a})
-    text = path.read_text()
-    lines = text.splitlines()
+    vtk = read_vtk(path)
+    lines = vtk.lines
     assert lines[0] == "# vtk DataFile Version 2.0"
-    assert f"POINTS {m.n_vertices} float" in lines
+    assert lines[2] == "BINARY"
+    assert f"POINTS {m.n_vertices} double" in lines
     assert f"CELLS {m.n_cells} {4 * m.n_cells}" in lines
     assert f"POINT_DATA {m.n_vertices}" in lines
     assert f"CELL_DATA {m.n_cells}" in lines
-    assert "SCALARS u float 1" in lines
-    assert "SCALARS a float 1" in lines
-    # last cell value hits the cell-data tail of the file
-    assert f"{a[-1]:.12e}" in lines
+    assert "SCALARS u double 1" in lines
+    assert "SCALARS a double 1" in lines
+    assert np.array_equal(bits(vtk.points[:, :2]), bits(m.vertices))
+    assert not bits(vtk.points[:, 2]).any()
+    assert np.array_equal(vtk.cells[:, 0], np.full(m.n_cells, 3))
+    assert np.array_equal(vtk.cells[:, 1:], m.triangles)
+    assert np.array_equal(vtk.cell_types, np.full(m.n_cells, 5))
+    assert list(vtk.point_data) == ["u"] and list(vtk.cell_data) == ["a"]
+    assert np.array_equal(bits(vtk.point_data["u"]), bits(u))
+    # the last cell value ends the file
+    assert np.array_equal(bits(vtk.cell_data["a"]), bits(a))
 
     write_vtk(tmp_path / "again.vtk", m, point_data={"u": u},
               cell_data={"a": a})
@@ -278,3 +290,15 @@ def test_write_vtk_rejects_bad_shapes(tmp_path):
         write_vtk(tmp_path / "bad.vtk", m, point_data={"u": np.zeros(3)})
     with pytest.raises(ValueError):
         write_vtk(tmp_path / "bad.vtk", m, cell_data={"a": np.zeros(3)})
+
+
+@pytest.mark.parametrize("name", ["", " ", "a b", "u\n", "\tt", "p\x0b"])
+def test_write_vtk_rejects_bad_field_names(tmp_path, name):
+    m = build_unit_square_mesh(2)
+    with pytest.raises(ValueError, match="whitespace"):
+        write_vtk(tmp_path / "bad.vtk", m,
+                  point_data={name: np.zeros(m.n_vertices)})
+    with pytest.raises(ValueError, match="whitespace"):
+        write_vtk(tmp_path / "bad.vtk", m,
+                  cell_data={name: np.zeros(m.n_cells)})
+    assert not (tmp_path / "bad.vtk").exists()
