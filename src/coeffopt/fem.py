@@ -98,8 +98,8 @@ class SolverFailure(RuntimeError):
     """The linear solver stopped before reaching its tolerance."""
 
 
-def _tensor_parts(mesh: Mesh, coeff):
-    """(a11, a12, a22) of a validated scalar or tensor coefficient.
+def _split(mesh: Mesh, coeff):
+    """(a11, a12, a22) of a scalar or tensor coefficient, unchecked.
 
     A scalar field gives (a, 0.0, a): a12 is the float 0.0, not a
     column, and a constant is widened to one value per cell.
@@ -109,29 +109,38 @@ def _tensor_parts(mesh: Mesh, coeff):
     if coeff.ndim == 0:
         coeff = np.full(nt, float(coeff))
     if coeff.shape == (nt,):
-        bad = ~np.isfinite(coeff) | (coeff <= 0.0)
-        if bad.any():
-            c = int(np.flatnonzero(bad)[0])
-            raise IllPosedCoefficientError(
-                f"scalar coefficient on cell {c} is {coeff[c]!r}"
-            )
         return coeff, 0.0, coeff
     if coeff.shape == (nt, 3):
         a11, a12, a22 = coeff.T
-        det = a11 * a22 - a12 * a12
-        # column by column: np.isfinite(coeff).all(axis=1) is 10x slower
-        finite = np.isfinite(a11) & np.isfinite(a12) & np.isfinite(a22)
-        bad = ~finite | (a11 <= 0.0) | (det <= 0.0)
-        if bad.any():
-            c = int(np.flatnonzero(bad)[0])
-            raise IllPosedCoefficientError(
-                f"tensor coefficient on cell {c} is not positive definite: "
-                f"{coeff[c]}"
-            )
         return a11, a12, a22
     raise ValueError(
         f"coefficient must have shape ({nt},) or ({nt}, 3), got {coeff.shape}"
     )
+
+
+def _tensor_parts(mesh: Mesh, coeff):
+    """``_split`` of a coefficient that must be finite and positive
+    (definite) on every cell, else IllPosedCoefficientError."""
+    a11, a12, a22 = _split(mesh, coeff)
+    if np.ndim(a12) == 0:
+        bad = ~np.isfinite(a11) | (a11 <= 0.0)
+        if bad.any():
+            c = int(np.flatnonzero(bad)[0])
+            raise IllPosedCoefficientError(
+                f"scalar coefficient on cell {c} is {a11[c]!r}"
+            )
+        return a11, a12, a22
+    det = a11 * a22 - a12 * a12
+    # column by column: np.isfinite(coeff).all(axis=1) is 10x slower
+    finite = np.isfinite(a11) & np.isfinite(a12) & np.isfinite(a22)
+    bad = ~finite | (a11 <= 0.0) | (det <= 0.0)
+    if bad.any():
+        c = int(np.flatnonzero(bad)[0])
+        raise IllPosedCoefficientError(
+            f"tensor coefficient on cell {c} is not positive definite: "
+            f"{np.array([a11[c], a12[c], a22[c]])}"
+        )
+    return a11, a12, a22
 
 
 def _outer(x, y):
@@ -212,7 +221,7 @@ class StiffnessAssembler:
         self._transfers = None  # (P, R) per level, from the first build
         # the V-cycle's coarse levels, ([(Galerkin operator, smoother
         # weights) per level >= 1], coarsest inverse), and the
-        # _tensor_parts of the coefficient they were built from
+        # _split of the coefficient they were built from
         self._coarse = None
         self._reference = None
 
@@ -274,7 +283,8 @@ class StiffnessAssembler:
         # before any coarse build: a nonpositive diagonal and weights
         # that overflow raise here
         weights = _chebyshev_weights(K)
-        parts = _tensor_parts(self.mesh, K.coefficient)
+        # assemble validated this copy of the coefficient
+        parts = _split(self.mesh, K.coefficient)
         # with no coarse level the coarsest inverse is K's own
         if (self._coarse is None or not self._transfers
                 or _contrast(parts, self._reference) > _REBUILD_CONTRAST):
@@ -481,7 +491,7 @@ def _coarse_levels(A: sp.csr_matrix, transfers=None):
 
 def _pencil_extremes(a, b):
     """Per cell, the smallest and largest eigenvalue lam of
-    a x = lam b x, a and b the ``_tensor_parts`` of two coefficients.
+    a x = lam b x, a and b the ``_split`` of two coefficients.
 
     Closed form: with b = L L^T (Cholesky), the eigenvalues are those of
     the symmetric C = L^-1 a L^-T, whose spread hypot((c11 - c22) / 2,
@@ -501,7 +511,7 @@ def _pencil_extremes(a, b):
 
 def _contrast(coeff, reference) -> float:
     """max lam / min lam over the cells' pencils (coeff, reference),
-    both given as ``_tensor_parts``.
+    both given as ``_split``.
 
     With m and M these extremes, m K_ref <= K <= M K_ref for the
     stiffness matrices, and so for their Galerkin operators too.  A

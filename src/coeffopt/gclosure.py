@@ -16,11 +16,16 @@ arithmetic, with no array per spectrum; a stack is a loop over rows.
 The pointwise kernels of the laminate update (``lamination_means``,
 ``optimal_t``, ``optimal_laminate`` and ``clamp_spectrum``) run over
 consecutive blocks of ``_BLOCK`` cells into one preallocated output, so
-their temporaries stay in cache on a large stack.  Each cell's
+their temporaries stay in cache on a large stack; they write into the
+block's output and reuse its temporaries in place.  Each cell's
 arithmetic keeps its order, so the result equals that of one pass over
-the whole stack bit for bit; inputs are validated once, before any
-block.  ``clamp_spectrum`` rescales the deviator of each tensor, so it
-needs no eigenvector.
+the whole stack bit for bit.  Each block checks its own inputs, mostly
+on values it computes anyway (squared norms, the box, the spectrum's
+centre and radius), so no check makes a pass over the whole stack; a
+raise discards the partly filled output.  ``clamp_spectrum`` rescales
+the deviator of each tensor, so it needs no eigenvector, and
+``optimal_laminate`` builds the laminate from the doubled bisector
+angle, so it normalizes no vector.
 
 Tensor storage convention matches fem: (a11, a12, a22) columns.
 """
@@ -65,19 +70,21 @@ def _by_blocks(kernel, out, *args):
 
     out and each argument come as (array, k) pairs: the cell axis is the
     one before the last k (component) axes.  An argument with no cell
-    axis, or one of length 1, broadcasts and goes whole to every block;
-    so does everything when out is a single cell.  The kernels are
-    elementwise, so each cell's result is that of one whole-stack call
-    bit for bit.
+    axis gains one of length 1; it, and any argument whose cell axis has
+    length 1, broadcasts and goes whole to every block.  A single cell
+    (out with no cell axis) is one block of one cell.  So a kernel sees
+    arrays only, and may write its temporaries in place.  The kernels
+    are elementwise, so each cell's result is that of one whole-stack
+    call bit for bit.  A kernel checks its own block's inputs; a raise
+    discards the partly filled output.
     """
     out_arr, k = out
-    if out_arr.ndim == k:
-        kernel(out_arr, *(a for a, _ in args))
-        return out_arr
-    for start in range(0, out_arr.shape[-1 - k], _BLOCK):
+    whole = out_arr if out_arr.ndim > k else out_arr[None]
+    args = [(a if a.ndim > j else a[None], j) for a, j in args]
+    for start in range(0, whole.shape[-1 - k], _BLOCK):
         cells = slice(start, start + _BLOCK)
-        kernel(out_arr[(..., cells) + (slice(None),) * k],
-               *(a if a.ndim <= j or a.shape[-1 - j] == 1
+        kernel(whole[(..., cells) + (slice(None),) * k],
+               *(a if a.shape[-1 - j] == 1
                  else a[(..., cells) + (slice(None),) * j] for a, j in args))
     return out_arr
 
@@ -92,13 +99,21 @@ def lamination_means(t, alpha: float, beta: float):
     """
     _check_phases(alpha, beta)
     t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ValueError("volume fraction t must lie in [0, 1]")
 
     def block(out, t):
-        mu = t * alpha + (1.0 - t) * beta
-        out[0] = mu
-        out[1] = np.minimum(alpha * beta / (t * beta + (1.0 - t) * alpha), mu)
+        # min and max propagate NaN, which fails both comparisons
+        if not (t.min() >= 0.0 and t.max() <= 1.0):
+            raise ValueError("volume fraction t must lie in [0, 1]")
+        # slices, not unpacking: for one t, out is the pair (mu, nu)
+        mu, nu = out[:1], out[1:]
+        rest = 1.0 - t
+        np.multiply(t, alpha, out=mu)
+        mu += np.multiply(rest, beta, out=nu)
+        np.multiply(t, beta, out=nu)
+        rest *= alpha
+        nu += rest
+        np.divide(alpha * beta, nu, out=nu)
+        np.minimum(nu, mu, out=nu)
 
     mu, nu = _by_blocks(block, (np.empty((2,) + t.shape), 0), (t, 0))
     if t.ndim == 0:
@@ -321,52 +336,86 @@ def clamp_spectrum(tcols: np.ndarray, lo, hi):
     scalars or per-tensor arrays.  Rotation-equivariant by construction:
     with A = m I + D, D traceless and |D| = r (so the eigenvalues are
     m -+ r), the clipped eigenvalues m' -+ k give m' I + (k / r) D, with
-    no eigenvector and no trigonometry: about 30 ns a tensor on a 2-core
-    Xeon VM.  Where r = 0 both eigenvalues clip alike, k = 0 and A stays
-    isotropic.
+    no eigenvector and no trigonometry: about 23 ns a tensor on a 2-core
+    Xeon VM (10^6 tensors, min of 15 calls), most of it in np.hypot.
+    Where r = 0 both eigenvalues clip alike, k = 0 and A stays
+    isotropic.  A tensor or bound that is not finite, or lo > hi, raises
+    ValueError.
     """
     tcols = np.asarray(tcols, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if not np.all(lo <= hi):
-        raise ValueError("clamp bounds must satisfy lo <= hi")
 
     def block(out, tcols, lo, hi):
+        # min and max propagate NaN, which fails both comparisons; an
+        # infinite bound gives an infinite or NaN width
+        width = hi - lo
+        if not (width.min() >= 0.0 and width.max() < np.inf):
+            raise ValueError("clamp bounds must be finite and satisfy "
+                             "lo <= hi")
         a11, a12, a22 = tcols[..., 0], tcols[..., 1], tcols[..., 2]
-        m = 0.5 * (a11 + a22)
-        dd = 0.5 * (a11 - a22)
+        m = a11 + a22
+        m *= 0.5
+        dd = a11 - a22
+        dd *= 0.5
         r = np.hypot(dd, a12)
         l1 = np.clip(m - r, lo, hi)
-        l2 = np.clip(m + r, lo, hi)
-        q = (l2 - l1) / np.maximum(2.0 * r, _TINY)  # k / r
-        mc = 0.5 * (l1 + l2)  # m'
-        out[..., 0] = mc + q * dd
-        out[..., 1] = q * a12
-        out[..., 2] = mc - q * dd
+        # m + r is finite iff the tensor is (short of overflow), and
+        # can be +inf or NaN but not -inf: an infinite a11 or a22 makes
+        # r infinite too
+        m += r
+        if not m.max() < np.inf:
+            raise ValueError("tensors must be finite")
+        l2 = np.clip(m, lo, hi)
+        r *= 2.0
+        q = l2 - l1
+        q /= np.maximum(r, _TINY, out=r)  # k / r
+        l1 += l2
+        l1 *= 0.5  # m'
+        np.multiply(q, a12, out=out[..., 1])
+        q *= dd
+        np.add(l1, q, out=out[..., 0])
+        np.subtract(l1, q, out=out[..., 2])
 
     out = np.empty(np.broadcast_shapes(tcols.shape[:-1], lo.shape, hi.shape)
                    + (3,))
-    return _by_blocks(block, (out, 1), (tcols, 1), (lo, 0), (hi, 0))
+    # an infinite tensor gives inf - inf before its check raises
+    with np.errstate(invalid="ignore"):
+        return _by_blocks(block, (out, 1), (tcols, 1), (lo, 0), (hi, 0))
 
 
 def optimal_laminate(grad_u, grad_p, mu, nu):
     """Maximizer of A grad_u . grad_p over the box nu <= spec(A) <= mu.
 
     Generic gradients get the rank-one laminate with eigenvalue mu
-    along the normalized bisector w1 + w2 of the unit gradients and nu
-    along w1 - w2.  Where the box pins only the eigenvalue along the
-    gradients the free one is completed isotropically: parallel
-    gradients (w1 . w2 within ALIGNMENT_TOL of 1) give mu I,
-    antiparallel ones (within it of -1) nu I.  A vanishing gradient
-    gives nu I; a gradient shorter than sqrt(tiny) (about 1.5e-154)
-    counts as vanishing: its squared components are subnormal, so its
-    computed norm is inexact and would not normalize it.
+    along the bisector of the unit gradients and nu across it.  With m,
+    d = (mu +- nu) / 2 and theta the bisector's angle, that laminate is
+
+        m I + d [[cos 2 theta, sin 2 theta], [sin 2 theta, -cos 2 theta]],
+
+    and the doubled angle is the sum of the gradients' angles:
+    cos 2 theta = (u_x p_x - u_y p_y) / (|u||p|) and sin 2 theta =
+    (u_x p_y + u_y p_x) / (|u||p|).  No vector is normalized and no sum
+    of unit vectors is formed, so nothing cancels near antiparallel
+    gradients: a box of width 1 is within 1e-15 of an extended-precision
+    reference there, where the normalized bisector w1 + w2 lost up to
+    4e-12.  Where the box pins only the eigenvalue along the gradients
+    the free one is completed isotropically: parallel gradients (c =
+    u . p / (|u||p|) within ALIGNMENT_TOL of 1) give mu I, antiparallel
+    ones (within it of -1) nu I.  A vanishing gradient gives nu I; a
+    gradient shorter than sqrt(tiny) (about 1.5e-154) counts as
+    vanishing: its squared components are subnormal, so its computed
+    norm is inexact.  Two gradients past that floor have |u||p| >= tiny,
+    so no quotient goes subnormal.
 
     Gradients are single vectors (shape (2,)) or stacks (..., 2); mu
     and nu broadcast against their leading shape and may carry extra
     leading axes, such as one box per slice: the gradient geometry is
     computed once for all of them.  Returns tensors in (a11, a12, a22)
-    storage, shape broadcast(leading shapes of the inputs) + (3,).
+    storage, shape broadcast(leading shapes of the inputs) + (3,).  A
+    gradient component or box value that is not finite, a gradient
+    whose squared norm overflows (norm above about 1e154), or nu > mu
+    raises ValueError.
     """
     gu = np.asarray(grad_u, dtype=float)
     gp = np.asarray(grad_p, dtype=float)
@@ -374,25 +423,48 @@ def optimal_laminate(grad_u, grad_p, mu, nu):
     nu = np.asarray(nu, dtype=float)
 
     def block(out, gu, gp, mu, nu):
+        d = mu - nu
+        d *= 0.5
+        # an infinite or NaN mu or nu leaves d infinite or NaN, and min
+        # and max propagate NaN, which fails both comparisons
+        if not (d.min() >= 0.0 and d.max() < np.inf):
+            raise ValueError("the box must be finite, with nu <= mu")
+        m = mu + nu
+        m *= 0.5
         ux, uy, px, py = gu[..., 0], gu[..., 1], gp[..., 0], gp[..., 1]
-        norm_u = np.sqrt(ux * ux + uy * uy)
-        norm_p = np.sqrt(px * px + py * py)
-        ok = (norm_u >= _NORM_FLOOR) & (norm_p >= _NORM_FLOOR)
-        den_u = np.where(ok, norm_u, 1.0)
-        den_p = np.where(ok, norm_p, 1.0)
-        w1x, w1y = np.where(ok, ux / den_u, 0.0), np.where(ok, uy / den_u, 0.0)
-        w2x, w2y = np.where(ok, px / den_p, 0.0), np.where(ok, py / den_p, 0.0)
-        c = w1x * w2x + w1y * w2y
-        generic = ok & (np.abs(c) < 1.0 - ALIGNMENT_TOL)
-        bx, by = w1x + w2x, w1y + w2y
-        den_b = np.where(generic, np.sqrt(bx * bx + by * by), 1.0)
-        ex, ey = bx / den_b, by / den_b
-        out[..., 0] = mu * ex * ex + nu * ey * ey
-        out[..., 1] = (mu - nu) * ex * ey
-        out[..., 2] = mu * ey * ey + nu * ex * ex
+        norm_u = ux * ux
+        norm_u += uy * uy
+        np.sqrt(norm_u, out=norm_u)
+        norm_p = px * px
+        norm_p += py * py
+        np.sqrt(norm_p, out=norm_p)
+        prod = norm_u * norm_p
+        # NaN or +inf iff a component is not finite or a square
+        # overflows, and max propagates NaN
+        if not prod.max() < np.inf:
+            raise ValueError("gradients must be finite, with norms below "
+                             "about 1e154")
+        ok = np.minimum(norm_u, norm_p) >= _NORM_FLOOR
+        c = ux * px
+        yy = uy * py
+        cos2 = c - yy
+        c += yy
+        sin2 = ux * py
+        sin2 += uy * px
+        c /= prod
+        cos2 /= prod
+        sin2 /= prod
+        generic = np.abs(c) < 1.0 - ALIGNMENT_TOL
+        generic &= ok
+        dc = d * cos2
+        np.add(m, dc, out=out[..., 0])
+        np.subtract(m, dc, out=out[..., 2])
+        np.multiply(d, sin2, out=out[..., 1])
+        if generic.all():
+            return
         # parallel: mu I; antiparallel or vanishing: nu I
         flat = ~generic
-        parallel = flat & ok & (c > 0.0)
+        parallel = ok & (c >= 1.0 - ALIGNMENT_TOL)
         for col in (out[..., 0], out[..., 2]):
             np.copyto(col, nu, where=flat)
             np.copyto(col, mu, where=parallel)
@@ -400,7 +472,11 @@ def optimal_laminate(grad_u, grad_p, mu, nu):
 
     out = np.empty(np.broadcast_shapes(mu.shape, nu.shape, gu.shape[:-1],
                                        gp.shape[:-1]) + (3,))
-    return _by_blocks(block, (out, 1), (gu, 1), (gp, 1), (mu, 0), (nu, 0))
+    # a vanishing gradient's quotients (0/0, x/0, an overflow) are
+    # discarded, and a bad input (inf - inf, inf * 0) raises
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _by_blocks(block, (out, 1), (gu, 1), (gp, 1), (mu, 0),
+                          (nu, 0))
 
 
 def optimal_t(n_plus, n_minus, g, alpha: float, beta: float):
@@ -417,27 +493,38 @@ def optimal_t(n_plus, n_minus, g, alpha: float, beta: float):
 
     The middle expression is clipped to [0, 1]; a vanishing N+ - g
     inside the band (only possible with N- = 0) falls through to t = 1.
+    N+ or N- below -1e-15, or an input that is not finite, raises
+    ValueError.
     """
     _check_phases(alpha, beta)
     n_plus = np.asarray(n_plus, dtype=float)
     n_minus = np.asarray(n_minus, dtype=float)
     g = np.asarray(g, dtype=float)
-    if not (np.all(n_plus >= -1e-15) and np.all(n_minus >= -1e-15)):
-        raise ValueError("N+ and N- must be nonnegative")
-    if np.isnan(g).any():
-        raise ValueError("g must not be NaN")
 
     def block(out, n_plus, n_minus, g):
+        # min and max propagate NaN, which fails the comparisons
+        if not (n_plus.min() >= -1e-15 and n_minus.min() >= -1e-15):
+            raise ValueError("N+ and N- must be nonnegative")
+        if not (n_plus.max() < np.inf and n_minus.max() < np.inf
+                and -np.inf < g.min() and g.max() < np.inf):
+            raise ValueError("N+, N- and g must be finite")
         n_plus = np.maximum(n_plus, 0.0)
         n_minus = np.maximum(n_minus, 0.0)
         b_lo = n_plus - (beta / alpha) * n_minus
         b_hi = n_plus - (alpha / beta) * n_minus
         denom = n_plus - g
-        mid = (np.sqrt(alpha * beta * n_minus / denom) - alpha) \
-            / (beta - alpha)
-        mid = np.where(denom > 0.0, mid, 1.0)
-        out[...] = np.where(g < b_lo, 0.0,
-                            np.where(g > b_hi, 1.0, np.clip(mid, 0.0, 1.0)))
+        n_minus *= alpha * beta
+        np.divide(n_minus, denom, out=out)
+        np.sqrt(out, out=out)
+        out -= alpha
+        out /= beta - alpha
+        # the three selects as bounds on the clipped middle value, at
+        # half the cost of np.where: out is NaN only where denom <= 0
+        # (a square root of a negative, or 0/0), fmax drops a NaN, and
+        # g < b_lo and g > b_hi exclude each other (b_lo <= b_hi)
+        np.clip(out, 0.0, 1.0, out=out)
+        np.fmax(out, (denom <= 0.0) | (g > b_hi), out=out)
+        np.minimum(out, g >= b_lo, out=out)
 
     out = np.empty(np.broadcast_shapes(n_plus.shape, n_minus.shape, g.shape))
     with np.errstate(divide="ignore", invalid="ignore"):

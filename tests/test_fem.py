@@ -875,3 +875,30 @@ def test_coarse_levels_follow_the_coefficient(monkeypatch):
     reused, counts = run(np.empty_like(base))
     assert counts == [1, 1, 1, 1, 2, 2]
     assert all(x.tobytes() == y.tobytes() for x, y in zip(us, reused))
+
+
+@pytest.mark.parametrize("kind", ["constant", "scalar", "tensor"])
+def test_a_solve_validates_its_coefficient_once(monkeypatch, kind):
+    # assemble validates the read-only copy it keeps; the preconditioner
+    # splits that copy into the same parts without checking it again
+    import coeffopt.fem as fem
+
+    real = fem._tensor_parts
+    calls = []
+
+    def counting(mesh, coeff):
+        calls.append(np.shape(coeff))
+        return real(mesh, coeff)
+
+    monkeypatch.setattr(fem, "_tensor_parts", counting)
+    m = build_unit_disk_mesh(0.1)
+    a = np.linspace(1.0, 3.0, m.n_cells)
+    coeff = {"constant": 2.0, "scalar": a,
+             "tensor": np.column_stack([a, 0.1 * a, 2.0 * a])}[kind]
+    asm = StiffnessAssembler(m)
+    K = asm.assemble(coeff)
+    solve_dirichlet(LinearSystem(K, assemble_load(m, 1.0), m.boundary))
+    assert len(calls) == 1
+    parts = real(m, K.coefficient)
+    for got, want in zip(asm._reference, parts):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -6,8 +6,9 @@ below are the same kernels in one whole-stack pass: every output must
 equal theirs byte for byte, on stacks that end inside, at and just past
 a block boundary, and on the edge rows each kernel branches on.  The
 blocks also bound the kernels' temporaries, which the memory test
-measures.  The clamp's deviator formula is also checked against the
-eigenvector formula it replaced, to rounding.
+measures, and each block checks its own inputs, so a bad value in the
+second block raises.  The clamp's deviator formula is also checked
+against the eigenvector formula it replaced, to rounding.
 """
 
 import tracemalloc
@@ -84,23 +85,22 @@ def ref_optimal_laminate(grad_u, grad_p, mu, nu):
     nu_norm = np.linalg.norm(gu, axis=-1)
     np_norm = np.linalg.norm(gp, axis=-1)
     ok = (nu_norm >= _NORM_FLOOR) & (np_norm >= _NORM_FLOOR)
-    w1 = np.where(ok[..., None], gu / np.where(ok, nu_norm, 1.0)[..., None],
-                  0.0)
-    w2 = np.where(ok[..., None], gp / np.where(ok, np_norm, 1.0)[..., None],
-                  0.0)
-    c = (w1 * w2).sum(axis=-1)
+    prod = nu_norm * np_norm
+    ux, uy, px, py = gu[..., 0], gu[..., 1], gp[..., 0], gp[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (ux * px + uy * py) / prod
+        cos2 = (ux * px - uy * py) / prod
+        sin2 = (ux * py + uy * px) / prod
     generic = ok & (np.abs(c) < 1.0 - ALIGNMENT_TOL)
     # parallel: mu I; antiparallel or vanishing: nu I
     iso = np.where(ok & (c > 0.0), mu, nu)
-
-    bis = w1 + w2
-    bn = np.linalg.norm(bis, axis=-1)
-    axis = bis / np.where(generic, bn, 1.0)[..., None]
-    ex, ey = axis[..., 0], axis[..., 1]
+    m = 0.5 * (mu + nu)
+    d = 0.5 * (mu - nu)
     out = np.empty(np.broadcast_shapes(mu.shape, nu.shape, ok.shape) + (3,))
-    out[..., 0] = np.where(generic, mu * ex * ex + nu * ey * ey, iso)
-    out[..., 1] = np.where(generic, (mu - nu) * ex * ey, 0.0)
-    out[..., 2] = np.where(generic, mu * ey * ey + nu * ex * ex, iso)
+    with np.errstate(invalid="ignore"):
+        out[..., 0] = np.where(generic, m + d * cos2, iso)
+        out[..., 1] = np.where(generic, d * sin2, 0.0)
+        out[..., 2] = np.where(generic, m - d * cos2, iso)
     return out
 
 
@@ -213,18 +213,96 @@ def test_temporaries_stay_within_blocks():
     # whole-stack kernels peaked at 6.1 (optimal_laminate) and 3.7
     # (clamp_spectrum) times their output
     n = 100_000
-    gu, gp, _, _, t = stacks(n)
+    gu, gp, n_plus, n_minus, t = stacks(n)
     mu, nu = lamination_means(t, A, B)
     lam = optimal_laminate(gu, gp, mu, nu)
     for kernel, args in ((optimal_laminate, (gu, gp, mu, nu)),
-                         (clamp_spectrum, (lam, nu, mu))):
+                         (clamp_spectrum, (lam, nu, mu)),
+                         (lamination_means, (t, A, B)),
+                         (optimal_t, (n_plus, n_minus, 0.09, A, B))):
         tracemalloc.start()
         try:
             out = kernel(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * out.nbytes, (kernel.__name__, peak / out.nbytes)
+        # lamination_means returns mu and nu, two views of one array
+        nbytes = sum(o.nbytes for o in (out if isinstance(out, tuple)
+                                        else (out,)))
+        assert peak < 2 * nbytes, (kernel.__name__, peak / nbytes)
+
+
+# a bad row in the second block: the checks run block by block
+BAD_ROW = _BLOCK + 5
+
+
+def with_bad(x, value, *index):
+    x = np.array(x, dtype=float)
+    x[(..., BAD_ROW) + index] = value
+    return x
+
+
+def test_laminate_rejects_bad_inputs():
+    gu, gp, _, _, t = stacks(2 * _BLOCK + 3)
+    mu, nu = lamination_means(t, A, B)
+    boxes = (mu, nu), (np.stack([mu, mu]), np.stack([nu, nu]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in (0, 1):
+            for args in ((with_bad(gu, bad, k), gp, mu, nu),
+                         (gu, with_bad(gp, bad, k), mu, nu)):
+                with pytest.raises(ValueError, match="gradients"):
+                    optimal_laminate(*args)
+        for hi, lo in boxes:
+            for args in ((gu, gp, with_bad(hi, bad), lo),
+                         (gu, gp, hi, with_bad(lo, bad))):
+                with pytest.raises(ValueError, match="box"):
+                    optimal_laminate(*args)
+    for hi, lo in boxes:
+        # nu > mu: an inverted box
+        with pytest.raises(ValueError, match="nu <= mu"):
+            optimal_laminate(gu, gp, with_bad(hi, 1.0), with_bad(lo, 1.5))
+    # single cells: a NaN gradient gave nu I, an inf one nu I with a
+    # RuntimeWarning, an inverted box a laminate with mu across the
+    # bisector and a NaN mu a NaN tensor
+    for args in (([np.nan, 1.0], [1.0, 0.0], 2.0, 1.0),
+                 ([np.inf, 1.0], [1.0, 0.0], 2.0, 1.0),
+                 ([1.0, 0.0], [0.0, 1.0], 1.0, 2.0),
+                 ([1.0, 0.0], [0.0, 1.0], np.nan, 1.0)):
+        with pytest.raises(ValueError):
+            optimal_laminate(*args)
+    # a finite gradient whose squared norm overflows
+    with pytest.raises(ValueError, match="gradients"):
+        optimal_laminate([1e200, 0.0], [0.0, 1.0], 2.0, 1.0)
+
+
+def test_clamp_and_optimal_t_reject_bad_inputs():
+    gu, gp, n_plus, n_minus, t = stacks(2 * _BLOCK + 3)
+    mu, nu = lamination_means(t, A, B)
+    lam = optimal_laminate(gu, gp, mu, nu)
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in range(3):
+            with pytest.raises(ValueError, match="tensors must be finite"):
+                clamp_spectrum(with_bad(lam, bad, k), nu, mu)
+        for args in ((lam, with_bad(nu, bad), mu),
+                     (lam, nu, with_bad(mu, bad))):
+            with pytest.raises(ValueError, match="lo <= hi"):
+                clamp_spectrum(*args)
+        for args in ((with_bad(n_plus, bad), n_minus, 0.09),
+                     (n_plus, with_bad(n_minus, bad), 0.09),
+                     (n_plus, n_minus, with_bad(np.full(len(t), 0.09), bad))):
+            with pytest.raises(ValueError):
+                optimal_t(*args, A, B)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        clamp_spectrum(lam, with_bad(nu, 1.5), with_bad(mu, 1.2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        optimal_t(with_bad(n_plus, -1e-3), n_minus, 0.09, A, B)
+    with pytest.raises(ValueError, match="must lie in"):
+        lamination_means(with_bad(t, 1.5), A, B)
+    # single cells: a NaN tensor gave NaNs, an infinite N- t = 1
+    with pytest.raises(ValueError):
+        clamp_spectrum([np.nan, 0.0, 1.0], 1.0, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        optimal_t(1.0, np.inf, 0.1, A, B)
 
 
 def test_clamp_matches_eigenvector_formula():
