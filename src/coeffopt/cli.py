@@ -144,6 +144,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             raise ValueError(f"unknown {key} {value!r}")
         if kind is float and not np.isfinite(value):
             raise ValueError(f"{key} must be finite")
+    if not settings["out_dir"]:
+        raise ValueError("out_dir must not be empty")
     _, gamma, domain = _EXPERIMENTS[settings["experiment"]]
     settings["domain"] = settings["domain"] or domain
     if settings["gamma"] is None:
@@ -213,7 +215,7 @@ def _run_general(mesh, settings):
     t, tensor, u, p, report = general_relaxed_optimize(
         mesh, 1.0, weight, g, settings["alpha"], settings["beta"],
         tol=settings["tol"], max_iters=settings["max_iters"])
-    lam1, lam2, _, _ = eig_sym_2x2(tensor)
+    lam1, lam2 = eig_sym_2x2(tensor)
     ratio = lam2 / lam1
     summary = {
         "mean_t": float(mesh.cell_areas @ t / mesh.cell_areas.sum()),

@@ -25,24 +25,24 @@ coarse build aggregates on the way down, each level from the Galerkin
 operator just formed and kept for the V-cycle, so every operator is
 formed once; later rebuilds reuse those transfers.  A solve builds the
 V-cycle's finest level (its smoother weights) from its matrix and frees
-it on return.  Each matrix the assembler builds carries it and a
-read-only copy of the coefficient it was assembled from, and
+it on return.  Each matrix the assembler builds carries it, and
 ``solve_dirichlet`` takes the Dirichlet mask from there; a matrix built
 any other way, or paired with another mask, raises ``ValueError``.
 
 The coarse levels - the Galerkin operators below the finest level,
 their smoother weights and the coarsest inverse - are kept with the
-coefficient they were built from.  Descent iterates and line-search
-trials move the coefficient little, so a solve rebuilds them from its
-matrix only when the spectral contrast between the two coefficients
-exceeds ``_REBUILD_CONTRAST``: the largest over the cells of the
-generalized eigenvalues of each cell's 2x2 pencil divided by the
-smallest.  With m and M those extremes, m K_ref <= K <= M K_ref, so the
-kept coarse operators are within that factor, up to scale, of the
-matrix's own.  Each level smooths with two Jacobi sweeps before and two
-after the coarse correction, damped at the two roots of the degree-2
-Chebyshev polynomial on [rho / 10, rho], rho the Gershgorin bound of
-the spectrum of diag(A)^-1 A.
+stiffness diagonal of the matrix they were built from.  Descent
+iterates and line-search trials move the coefficient little, so a
+solve rebuilds them from its matrix only when the contrast of the two
+diagonals, max(d / d_ref) / min(d / d_ref), exceeds
+``_REBUILD_CONTRAST``.  Each ratio d_i / d_ref,i is a weighted mean of
+the Rayleigh quotients of the 2x2 pencils (coefficient, reference) of
+the cells at vertex i, so this contrast is at most the pencil contrast
+M / m, with m K_ref <= K <= M K_ref, and the diagonal is the one the
+smoother needs anyway.  Each level smooths with two Jacobi sweeps
+before and two after the coarse correction, damped at the two roots of
+the degree-2 Chebyshev polynomial on [rho / 10, rho], rho the
+Gershgorin bound of the spectrum of diag(A)^-1 A.
 
 Field conventions
 -----------------
@@ -98,8 +98,10 @@ class SolverFailure(RuntimeError):
     """The linear solver stopped before reaching its tolerance."""
 
 
-def _split(mesh: Mesh, coeff):
-    """(a11, a12, a22) of a scalar or tensor coefficient, unchecked.
+def _tensor_parts(mesh: Mesh, coeff):
+    """(a11, a12, a22) of a scalar or tensor coefficient that must be
+    finite and positive (definite) on every cell, else
+    IllPosedCoefficientError.
 
     A scalar field gives (a, 0.0, a): a12 is the float 0.0, not a
     column, and a constant is widened to one value per cell.
@@ -109,27 +111,17 @@ def _split(mesh: Mesh, coeff):
     if coeff.ndim == 0:
         coeff = np.full(nt, float(coeff))
     if coeff.shape == (nt,):
-        return coeff, 0.0, coeff
-    if coeff.shape == (nt, 3):
-        a11, a12, a22 = coeff.T
-        return a11, a12, a22
-    raise ValueError(
-        f"coefficient must have shape ({nt},) or ({nt}, 3), got {coeff.shape}"
-    )
-
-
-def _tensor_parts(mesh: Mesh, coeff):
-    """``_split`` of a coefficient that must be finite and positive
-    (definite) on every cell, else IllPosedCoefficientError."""
-    a11, a12, a22 = _split(mesh, coeff)
-    if np.ndim(a12) == 0:
-        bad = ~np.isfinite(a11) | (a11 <= 0.0)
+        bad = ~np.isfinite(coeff) | (coeff <= 0.0)
         if bad.any():
             c = int(np.flatnonzero(bad)[0])
             raise IllPosedCoefficientError(
-                f"scalar coefficient on cell {c} is {a11[c]!r}"
+                f"scalar coefficient on cell {c} is {coeff[c]!r}"
             )
-        return a11, a12, a22
+        return coeff, 0.0, coeff
+    if coeff.shape != (nt, 3):
+        raise ValueError(f"coefficient must have shape ({nt},) or ({nt}, 3), "
+                         f"got {coeff.shape}")
+    a11, a12, a22 = coeff.T
     det = a11 * a22 - a12 * a12
     # column by column: np.isfinite(coeff).all(axis=1) is 10x slower
     finite = np.isfinite(a11) & np.isfinite(a12) & np.isfinite(a22)
@@ -167,13 +159,14 @@ class StiffnessAssembler:
     What persists across solves lives here and nowhere else: the
     aggregation transfers, built with the first coarse levels and
     reused by every later rebuild, and the V-cycle's coarse levels with
-    the coefficient they were built from, a matrix's read-only copy,
-    which ``preconditioner`` rebuilds only when a matrix's coefficient
-    has moved farther than ``_REBUILD_CONTRAST`` from that one.  A
-    solve builds its finest level and frees it on return.  So the
-    solves of one assembler, and hence its results in the last digits,
-    depend on the sequence of coefficients it has solved with; a fresh
-    assembler repeats them bit for bit.
+    the stiffness diagonal of the matrix they were built from, which
+    ``preconditioner`` rebuilds only when a matrix's diagonal has moved
+    farther than ``_REBUILD_CONTRAST`` from that one, a contrast never
+    above that of the cells' coefficient pencils.  A solve builds its
+    finest level and frees it on return.  So the solves of one
+    assembler, and hence its results in the last digits, depend on the
+    sequence of coefficients it has solved with; a fresh assembler
+    repeats them bit for bit.
     """
 
     def __init__(self, mesh: Mesh):
@@ -220,8 +213,8 @@ class StiffnessAssembler:
         self._operator = self._with_structure(form)
         self._transfers = None  # (P, R) per level, from the first build
         # the V-cycle's coarse levels, ([(Galerkin operator, smoother
-        # weights) per level >= 1], coarsest inverse), and the
-        # _split of the coefficient they were built from
+        # weights) per level >= 1], coarsest inverse), and the diagonal
+        # of the matrix they were built from
         self._coarse = None
         self._reference = None
 
@@ -250,11 +243,8 @@ class StiffnessAssembler:
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Stiffness matrix on the free (non-Dirichlet) vertices, in the
         order of ``free``, carrying this assembler as its ``assembler``
-        attribute for ``solve_dirichlet`` and a read-only copy of the
-        coefficient, in the shape given, as ``coefficient``."""
-        # a copy, so the caller may reuse its array; a constant not widened
-        coeff = np.array(coeff, dtype=float)
-        coeff.setflags(write=False)
+        attribute for ``solve_dirichlet``.  The matrix keeps nothing of
+        the coefficient, so the caller may reuse its array."""
         a11, a12, a22 = _tensor_parts(self.mesh, coeff)
         if np.ndim(a12) == 0:  # a scalar field: a12 is 0.0
             vals = self._operator @ a11
@@ -265,7 +255,6 @@ class StiffnessAssembler:
         n = self.free.size
         K = sp.csr_matrix((vals, self._indices, self._indptr), shape=(n, n))
         K.assembler = self
-        K.coefficient = coeff
         return K
 
     def preconditioner(self, K: sp.csr_matrix):
@@ -275,23 +264,22 @@ class StiffnessAssembler:
         The finest level is K with its smoother weights.  The coarse
         levels are the assembler's: built with the transfers from the
         first matrix, then rebuilt with the kept transfers from a matrix
-        whose coefficient is more than ``_REBUILD_CONTRAST`` apart from
-        the one they were built from (``_contrast``), and kept
-        otherwise.  A build that raises stores nothing, and the next
-        matrix builds again.
+        whose diagonal is more than ``_REBUILD_CONTRAST`` apart from the
+        diagonal of the one they were built from (``_contrast``, at most
+        the cells' pencil contrast), and kept otherwise.  A build that
+        raises stores nothing, and the next matrix builds again.
         """
         # before any coarse build: a nonpositive diagonal and weights
         # that overflow raise here
-        weights = _chebyshev_weights(K)
-        # assemble validated this copy of the coefficient
-        parts = _split(self.mesh, K.coefficient)
+        diag, rho = _gershgorin(K)
+        weights = _chebyshev_weights(diag, rho)
         # with no coarse level the coarsest inverse is K's own
         if (self._coarse is None or not self._transfers
-                or _contrast(parts, self._reference) > _REBUILD_CONTRAST):
+                or _contrast(diag, self._reference) > _REBUILD_CONTRAST):
             self._coarse = None  # freed before the new one is built
             transfers, levels, inverse = _coarse_levels(K, self._transfers)
             self._transfers, self._coarse = transfers, (levels, inverse)
-            self._reference = parts
+            self._reference = diag
         coarse_levels, inverse = self._coarse
         levels = [(K, weights)] + coarse_levels
         transfers = self._transfers
@@ -409,8 +397,8 @@ _STRENGTH = 0.08
 _MAX_COARSE = 300
 
 
-# the coarse levels are rebuilt once the coefficient is more than this
-# spectral contrast apart from the one they were built from
+# the coarse levels are rebuilt once the stiffness diagonal is more than
+# this contrast apart from the one they were built from
 _REBUILD_CONTRAST = 1.5
 # the smoother damps the part [rho / 10, rho] of the spectrum of
 # diag(A)^-1 A; the coarse correction takes the rest
@@ -437,13 +425,13 @@ def _gershgorin(A: sp.csr_matrix):
     return diag, rho
 
 
-def _chebyshev_weights(A: sp.csr_matrix):
-    """(w1, w2): the Jacobi weights 1 / (r diag(A)) at the two roots r of
+def _chebyshev_weights(diag, rho):
+    """(w1, w2): the Jacobi weights 1 / (r diag) at the two roots r of
     the degree-2 Chebyshev polynomial on [rho / 10, rho], theta -+ delta
-    cos(pi / 4); two sweeps with them are degree-2 Chebyshev smoothing.
-    Weights that overflow (subnormal stiffness entries) raise
-    ``SolverFailure`` here, before CG would run on NaN."""
-    diag, rho = _gershgorin(A)
+    cos(pi / 4), for an operator's ``_gershgorin`` (diag, rho); two
+    sweeps with them are degree-2 Chebyshev smoothing.  Weights that
+    overflow (subnormal stiffness entries) raise ``SolverFailure`` here,
+    before CG would run on NaN."""
     theta = 0.5 * (1.0 + _SMOOTH_FLOOR) * rho
     delta = 0.5 * (1.0 - _SMOOTH_FLOOR) * rho
     half = delta * np.cos(0.25 * np.pi)
@@ -485,46 +473,24 @@ def _coarse_levels(A: sp.csr_matrix, transfers=None):
         inverse = Linv.T @ Linv
     if not np.isfinite(inverse).all():
         raise SolverFailure("coarsest multigrid inverse is not finite")
-    levels = [(Ac, _chebyshev_weights(Ac)) for Ac in ops[1:-1]]
+    levels = [(Ac, _chebyshev_weights(*_gershgorin(Ac))) for Ac in ops[1:-1]]
     return transfers, levels, inverse
 
 
-def _pencil_extremes(a, b):
-    """Per cell, the smallest and largest eigenvalue lam of
-    a x = lam b x, a and b the ``_split`` of two coefficients.
+def _contrast(diag, reference) -> float:
+    """max r / min r for the ratios r = diag / reference of two
+    stiffness diagonals.
 
-    Closed form: with b = L L^T (Cholesky), the eigenvalues are those of
-    the symmetric C = L^-1 a L^-T, whose spread hypot((c11 - c22) / 2,
-    c12) has no cancellation; the smaller is det(C) / (larger).
-    """
-    a11, a12, a22 = a
-    b11, b12, b22 = b
-    det_b = b11 * b22 - b12 * b12
-    r = b12 / b11
-    c11 = a11 / b11
-    c12 = (a12 - a11 * r) / np.sqrt(det_b)
-    c22 = (a22 - 2.0 * a12 * r + a11 * r * r) * (b11 / det_b)
-    high = 0.5 * (c11 + c22) + np.hypot(0.5 * (c11 - c22), c12)
-    low = (a11 * a22 - a12 * a12) / det_b / high
-    return low, high
-
-
-def _contrast(coeff, reference) -> float:
-    """max lam / min lam over the cells' pencils (coeff, reference),
-    both given as ``_split``.
-
-    With m and M these extremes, m K_ref <= K <= M K_ref for the
-    stiffness matrices, and so for their Galerkin operators too.  A
-    ratio that overflows (subnormal coefficients) gives an infinite
-    contrast, which rebuilds.
+    Each r_i is a weighted mean, over the cells at vertex i, of the
+    Rayleigh quotients g.A g / g.B g of the cells' pencils (A, B) of the
+    two coefficients, g the cell's basis gradient of vertex i; so this
+    contrast never exceeds the pencil contrast, max lam / min lam over
+    the cells.  A ratio that overflows (subnormal stiffness entries)
+    gives an infinite contrast, which rebuilds.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        if np.ndim(coeff[1]) == 0 and np.ndim(reference[1]) == 0:
-            # two scalar fields: a12 is 0.0 in both
-            ratio = coeff[0] / reference[0]
-            return float(np.max(ratio) / np.min(ratio))
-        low, high = _pencil_extremes(coeff, reference)
-        return float(np.max(high) / np.min(low))
+        ratio = diag / reference
+        return float(np.max(ratio) / np.min(ratio))
 
 
 def _vcycle(levels, transfers, coarse, b, level):
@@ -698,8 +664,10 @@ def solve_dirichlet(system: LinearSystem, rtol: float = _RTOL,
     exactly 0.0.  The preconditioner is a smoothed-aggregation
     multigrid V-cycle (``StiffnessAssembler.preconditioner``).  What
     persists lives on the assembler: its coarse levels are kept from an
-    earlier matrix whose coefficient is within ``_REBUILD_CONTRAST`` of
-    this one's and rebuilt from this matrix otherwise.  The V-cycle's
+    earlier matrix whose stiffness diagonal is within
+    ``_REBUILD_CONTRAST`` of this one's, max(d / d_ref) / min(d / d_ref),
+    a contrast at most that of the cells' coefficient pencils, and
+    rebuilt from this matrix otherwise.  The V-cycle's
     finest level is built by this solve and freed on return.
 
     Returns the solution, or None when a ``bound`` is given and CG's

@@ -306,27 +306,14 @@ def is_admissible(eigs, alpha: float, beta: float, tol: float = 1e-9):
 
 
 def eig_sym_2x2(tcols: np.ndarray):
-    """Eigen-decomposition of symmetric 2x2 tensors in column storage.
-
-    Returns (lam1, lam2, cos, sin) with lam1 <= lam2 and (cos, sin) the
-    unit eigenvector of lam2 at the angle 0.5 arctan2(a12, dd), dd =
-    (a11 - a22) / 2, built without trigonometry: with r = hypot(dd, a12)
-    and p = |dd| + r, it is (p, a12) normalized where dd >= 0 and
-    (|a12|, sign(a12) p) where dd < 0, so no sum cancels.  An isotropic
-    tensor (r = 0) gives (1, 0).
-    """
+    """Eigenvalues (lam1, lam2), lam1 <= lam2, of symmetric 2x2 tensors
+    in column storage: m -+ hypot(dd, a12), with m = (a11 + a22) / 2
+    and dd = (a11 - a22) / 2, so no sum cancels in the spread."""
     tcols = np.asarray(tcols, dtype=float)
     a11, a12, a22 = tcols[..., 0], tcols[..., 1], tcols[..., 2]
     m = 0.5 * (a11 + a22)
-    dd = 0.5 * (a11 - a22)
-    r = np.hypot(dd, a12)
-    lam1, lam2 = m - r, m + r
-    p = np.where(r == 0.0, 1.0, np.abs(dd) + r)
-    norm = np.hypot(p, a12)
-    flip = dd < 0.0
-    c = np.where(flip, np.abs(a12), p)
-    s = np.where(flip, np.copysign(p, a12), a12)
-    return lam1, lam2, c / norm, s / norm
+    r = np.hypot(0.5 * (a11 - a22), a12)
+    return m - r, m + r
 
 
 def clamp_spectrum(tcols: np.ndarray, lo, hi):

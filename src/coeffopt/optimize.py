@@ -546,7 +546,7 @@ def general_relaxed_optimize(mesh: Mesh, f, weight, g_field,
         eps_used, J, (t, A, mu, nu, u, K) = hit
         p = adjoint(K, u, p)
 
-        lam1, lam2, _, _ = eig_sym_2x2(A)
+        lam1, lam2 = eig_sym_2x2(A)
         if np.any(lam1 < nu - 1e-10) or np.any(lam2 > mu + 1e-10):
             raise InternalConsistencyError(
                 "updated tensor left the lamination box"

@@ -215,7 +215,7 @@ def test_criterion_05_energy_disk_interface_and_cost(capsys, energy_disk_run):
 
 def test_criterion_06_counterexample_isotropic(capsys, general_isotropic_run):
     mesh, t, A, u, p, rep, elapsed = general_isotropic_run
-    lam1, lam2, _, _ = eig_sym_2x2(A)
+    lam1, lam2 = eig_sym_2x2(A)
     max_ratio = float((lam2 / lam1).max())
     value = 0.5 * (lam1 + lam2)
     a_ref = counterexample_fields(centroid_radii(mesh), TAU)[0]
@@ -229,7 +229,7 @@ def test_criterion_06_counterexample_isotropic(capsys, general_isotropic_run):
 
 def test_criterion_07_counterexample_anisotropic(capsys, general_tilted_run):
     mesh, t, A, u, p, rep, elapsed = general_tilted_run
-    lam1, lam2, _, _ = eig_sym_2x2(A)
+    lam1, lam2 = eig_sym_2x2(A)
     max_ratio = float((lam2 / lam1).max())
     ok = max_ratio >= 1.1
     emit(capsys, 7, ok,
@@ -357,7 +357,7 @@ def test_criterion_10_monotone_feasible(capsys, quadratic_disk_run,
                       ("general-tilted", general_tilted_run)):
         mesh, t, A, u, p, rep, _ = run
         mu, nu = lamination_means(t, ALPHA, BETA)
-        lam1, lam2, _, _ = eig_sym_2x2(A)
+        lam1, lam2 = eig_sym_2x2(A)
         feas = bool(np.all(t >= 0.0) and np.all(t <= 1.0)
                     and np.all(lam1 >= nu - 1e-10)
                     and np.all(lam2 <= mu + 1e-10))

@@ -220,6 +220,27 @@ def test_main_unknown_config_choice_exit_2(tmp_path, capsys):
         assert not (tmp_path / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_main_empty_out_dir_exit_2(monkeypatch, tmp_path, capsys, source):
+    # an empty directory is a bad setting: it exits 2 before the mesh is
+    # built, and nothing is written, here or in the working directory
+    built = []
+    monkeypatch.setattr(cli, "_build_mesh", built.append)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--n", "4", "--max-iters", "2"]
+    if source == "flag":
+        argv += ["--out-dir", ""]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out_dir =\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "out_dir must not be empty" in capsys.readouterr().err
+    assert built == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if source == "flag" else ["run.cfg"])
+
+
 def test_main_unknown_flag_exit_2():
     assert main(["--frobnicate"]) == 2
 

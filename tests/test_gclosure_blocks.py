@@ -23,7 +23,6 @@ from coeffopt.gclosure import (
     ALIGNMENT_TOL,
     _check_phases,
     clamp_spectrum,
-    eig_sym_2x2,
     lamination_means,
     optimal_laminate,
     optimal_t,
@@ -68,13 +67,12 @@ def ref_clamp_spectrum(tcols: np.ndarray, lo, hi):
 
 
 def eigvec_clamp_spectrum(tcols, lo, hi):
-    """The clamp as it was first written: clip the eigenvalues of
-    ``eig_sym_2x2`` and rebuild the tensor on its eigenvectors."""
-    lam1, lam2, c, s = eig_sym_2x2(tcols)
-    l1 = np.clip(lam1, lo, hi)
-    l2 = np.clip(lam2, lo, hi)
-    return np.stack([l2 * c * c + l1 * s * s, (l2 - l1) * c * s,
-                     l2 * s * s + l1 * c * c], axis=-1)
+    """The clamp as it was first written: clip the eigenvalues and
+    rebuild the tensor on its eigenvectors, both by ``np.linalg.eigh``."""
+    lam, v = np.linalg.eigh(tcols[..., [0, 1, 1, 2]].reshape(-1, 2, 2))
+    lam = np.clip(lam, lo[:, None], hi[:, None])
+    out = np.einsum("nik,nk,njk->nij", v, lam, v)
+    return out.reshape(-1, 4)[:, [0, 1, 3]]
 
 
 def ref_optimal_laminate(grad_u, grad_p, mu, nu):

@@ -189,7 +189,7 @@ def test_clamp_spectrum_equivariant_and_bounded(l1, l2, th, rot, lo, ratio):
     scale = max(l1, l2, hi)
     assert np.allclose(rotated, [expect[0, 0], expect[0, 1], expect[1, 1]],
                        rtol=0.0, atol=1e-12 * scale)
-    lam1, lam2, _, _ = eig_sym_2x2(out)
+    lam1, lam2 = eig_sym_2x2(out)
     assert lo - 1e-12 * scale <= lam1 <= lam2 <= hi + 1e-12 * scale
 
 
@@ -202,7 +202,7 @@ def test_optimal_laminate_admissible(gu, gp, t, ab):
     alpha, beta = ab
     mu, nu = lamination_means(t, alpha, beta)
     out = optimal_laminate(np.array(gu), np.array(gp), mu, nu)
-    lam1, lam2, _, _ = eig_sym_2x2(out)
+    lam1, lam2 = eig_sym_2x2(out)
     assert nu - 1e-12 * beta <= lam1 <= lam2 <= mu + 1e-12 * beta
     assert is_admissible((lam1, lam2), alpha, beta)[0]
 
@@ -252,7 +252,7 @@ def test_lamination_box_is_convex(t1, t2, s, xs, th1, th2, ab):
     x1, y1, x2, y2 = xs
     a1 = tensor_cols(nu1 + x1 * (mu1 - nu1), nu1 + y1 * (mu1 - nu1), th1)
     a2 = tensor_cols(nu2 + x2 * (mu2 - nu2), nu2 + y2 * (mu2 - nu2), th2)
-    lam1, lam2, _, _ = eig_sym_2x2((1.0 - s) * a1 + s * a2)
+    lam1, lam2 = eig_sym_2x2((1.0 - s) * a1 + s * a2)
     mu, nu = lamination_means(min((1.0 - s) * t1 + s * t2, 1.0), alpha, beta)
     slack = 16 * np.finfo(float).eps * beta
     assert nu - slack <= lam1 <= lam2 <= mu + slack

@@ -288,7 +288,7 @@ def test_general_layered_self_adjoint():
         m, 1.0, 1.0, tau ** 2, 1.0, 2.0)
     assert rep.converged and not rep.stagnated
     assert np.array_equal(p, u)
-    lam1, lam2, _, _ = eig_sym_2x2(A)
+    lam1, lam2 = eig_sym_2x2(A)
     assert (lam2 / lam1).max() < 1.01
     # the isotropic value tracks the classical radial optimum
     cen = m.cell_centroids()
@@ -308,7 +308,7 @@ def test_general_feasibility_invariants():
         m, 1.0, weight_nodes, tau ** 2, 1.0, 2.0)
     assert np.all(t >= 0.0) and np.all(t <= 1.0)
     mu, nu = lamination_means(t, 1.0, 2.0)
-    lam1, lam2, _, _ = eig_sym_2x2(A)
+    lam1, lam2 = eig_sym_2x2(A)
     assert np.all(lam1 >= nu - 1e-10)
     assert np.all(lam2 <= mu + 1e-10)
     assert np.all(np.diff(rep.costs) < 0.0)
@@ -325,7 +325,7 @@ def test_general_phases_where_means_round_past_a_phase():
     assert np.all(np.diff(rep.costs) < 0.0)
     assert np.all(t >= 0.0) and np.all(t <= 1.0)
     mu, nu = lamination_means(t, 0.2, 0.4)
-    lam1, lam2, _, _ = eig_sym_2x2(A)
+    lam1, lam2 = eig_sym_2x2(A)
     assert np.all(lam1 >= nu - 1e-10)
     assert np.all(lam2 <= mu + 1e-10)
 

@@ -83,7 +83,8 @@ def test_reduced_matrix_is_the_free_block(case):
     # for bit
     m, asm, K, _ = system_for(case)
     free = ~m.boundary
-    a = K.coefficient
+    _, seed, tensor = case
+    a = random_coefficient(m, seed, tensor)
     cols = a if a.ndim == 2 else np.column_stack([a, 0.0 * a, a])
     full = reference_stiffness(m, cols)
     indptr, indices, data = free_block(m, *full)
@@ -143,22 +144,22 @@ def pencil_eigenvalues(a, b):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_closed_form_contrast_matches_eigh(seed):
-    m, _ = mesh_and_assembler("square", 4)
-    a = random_coefficient(m, seed, True)
-    b = random_coefficient(m, seed + 1, True)
-    parts = functools.partial(fem._tensor_parts, m)
-    low, high = fem._pencil_extremes(parts(a), parts(b))
+@given(st.sampled_from(MESHES), st.integers(0, 2**32 - 1), st.booleans(),
+       st.booleans())
+def test_diagonal_contrast_is_bounded_by_the_pencil_contrast(
+        mesh_key, seed, tensor_a, tensor_b):
+    # each diagonal ratio is a weighted mean of the cells' Rayleigh
+    # quotients, so the contrast of two assembled diagonals never
+    # exceeds the contrast of the cells' pencils; tensor and scalar
+    # coefficients, alone or mixed
+    m, asm = mesh_and_assembler(*mesh_key)
+    a = random_coefficient(m, seed, tensor_a)
+    b = random_coefficient(m, seed + 1, tensor_b)
     ev = pencil_eigenvalues(a, b)
-    assert np.all(np.abs(low - ev[:, 0]) <= 1e-12 * ev[:, 0])
-    assert np.all(np.abs(high - ev[:, 1]) <= 1e-12 * ev[:, 1])
-    # tensor and scalar coefficients, alone or mixed
-    for x, y in ((a, b), (a[:, 0], b), (a, b[:, 2]), (a[:, 0], b[:, 2])):
-        ev = pencil_eigenvalues(x, y)
-        expected = ev[:, 1].max() / ev[:, 0].min()
-        contrast = fem._contrast(parts(x), parts(y))
-        assert abs(contrast - expected) <= 1e-12 * expected
+    pencil = ev[:, 1].max() / ev[:, 0].min()
+    contrast = fem._contrast(asm.assemble(a).diagonal(),
+                             asm.assemble(b).diagonal())
+    assert 1.0 <= contrast <= pencil * (1.0 + 1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -172,15 +173,16 @@ def test_vcycle_is_symmetric_positive_definite(mesh_key, seed, kept):
     asm = StiffnessAssembler(m)
     a = random_coefficient(m, seed, True)
     if kept:
-        asm.preconditioner(asm.assemble(a))
-        reference = a
+        K = asm.assemble(a)
+        asm.preconditioner(K)
+        reference = K.diagonal()
         factor = np.random.default_rng(seed + 1).uniform(1.0, 1.3, m.n_cells)
         a = a * factor[:, None]
     A = asm.assemble(a)
     M = asm.preconditioner(A)
-    # the coarse levels' coefficient, kept as its (a11, a12, a22)
-    assert np.array_equal(np.column_stack(asm._reference),
-                          reference if kept else a)
+    # the diagonal of the matrix the coarse levels were built from
+    assert np.array_equal(asm._reference,
+                          reference if kept else A.diagonal())
     V = np.column_stack([M(e) for e in np.eye(A.shape[0])])
     assert np.abs(V - V.T).max() <= 1e-12 * np.abs(V).max()
     x = np.random.default_rng(seed + 2).standard_normal(A.shape[0])
